@@ -11,11 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import forms, hecke, identities, kmroots, lift, siegel
-from .qseries import Series
+from .qseries import InsufficientBoxError, Series, bounded_vars
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def cache_dir() -> Path:
@@ -181,16 +182,18 @@ def cmd_verify(args) -> int:
 
 def _canonical(ser: Series, box) -> Series:
     """Restrict to the box and pin the floor entries to the stored minima so
-    exports are byte-identical regardless of internal build depth."""
-    from .qseries import bounded_vars
+    exports are byte-identical regardless of internal build depth.  The
+    exported trunc is the certified box clamped to the requested one; an
+    object certified short of the request is refused, never widened."""
     ser = ser.restricted(box)
+    for v, b in zip(bounded_vars(ser.nvars), box):
+        if ser.trunc[v] < b:
+            raise InsufficientBoxError(
+                f"certified to numerator {ser.trunc[v]} in variable {v}, "
+                f"short of the requested {b}")
     floor = tuple(min((k[i] for k in ser.coeffs), default=0)
                   for i in range(ser.nvars))
-    trunc = list(ser.trunc)
-    for v, b in zip(bounded_vars(ser.nvars), box):
-        if b is not None:
-            trunc[v] = b
-    return Series(ser.nvars, ser.denoms, dict(ser.coeffs), tuple(trunc), floor)
+    return Series(ser.nvars, ser.denoms, dict(ser.coeffs), ser.trunc, floor)
 
 
 def _export_text(name: str, fmt: str, qmax: int, smax: int) -> str:
@@ -337,9 +340,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (KeyError, ValueError, lift.InsufficientBoxError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # only on failure: importing it costs ~0.3 MB of RSS
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

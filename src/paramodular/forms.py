@@ -352,6 +352,9 @@ def catalog(name: str, qmax: int) -> JacobiExpansion:
         if got is not None and (got.qmax is None or got.qmax >= qmax):
             return got
     form = _BUILDERS[name](qmax)
+    if form.qmax is not None and form.qmax < qmax:
+        raise RuntimeError(f"catalog builder for {name!r} delivered q-depth "
+                           f"{form.qmax}, short of the requested {qmax}")
     with _LOCK:
         got = _CACHE.get(name)
         if got is None or (got.qmax is not None and got.qmax < qmax):
@@ -490,7 +493,11 @@ def _b_phi_12_1(qmax):
 
 
 def _b_phi_3_1(qmax):
-    return (catalog("phi_12_1", qmax + 18) / eta_power(18, qmax + 18)).with_kind("holomorphic")
+    # the quotient's box ends 36 numerators below the operands': 18 for the
+    # divisor's lead q^(18/24), 18 more because the numerator's stated
+    # floor is q^0 while the divisor's is q^(18/24)
+    pad = qmax + 36
+    return (catalog("phi_12_1", pad) / eta_power(18, pad)).with_kind("holomorphic")
 
 
 def _b_phi_1_4(qmax):

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from .chars import CharacterTag, kronecker, v_eta_sigma
 from .cyclotomic import Cyc
 from .forms import QR_DENOMS, JacobiExpansion
-from .qseries import Series
+from .qseries import InsufficientBoxError, Series
 
 
 def _divisors(n: int):
@@ -168,7 +168,7 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     lmax = _weak_l_bound(t, n1)
     if not (p * p * n1 - (p - 1) * p * lmax > tout and
             4 * t * n1 > (2 * t * (p - 1)) ** 2 // (p * p)):
-        raise ValueError("input truncation too small for a sound shift branch")
+        raise InsufficientBoxError("input truncation too small for a sound shift branch")
     coeffs = {}
 
     def push(n, l, c):
@@ -247,7 +247,7 @@ def _norm_lookup(nm: dict, t: int, N: int, qmax_paper: int):
                 return 0
     if not solvable or N < -t * t:
         return 0
-    raise ValueError(f"norm {N} not determined by the computed box")
+    raise InsufficientBoxError(f"norm {N} not determined by the computed box")
 
 
 def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
@@ -297,7 +297,7 @@ def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     shift_down = (p - 1) * lmax1 // p + 1
     tout = qmax_paper - shift_down
     if tout < 0:
-        raise ValueError("input truncation too small")
+        raise InsufficientBoxError("input truncation too small")
     coeffs = {}
     for (n, l), c in _paper_terms(phi):
         if l % p:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import hecke
 from .forms import catalog
 from .lift import SiegelExpansion, closed_form, exp_lift, lift_arith, lift_exp
-from .qseries import Series
+from .qseries import (ExactDivisionError, InsufficientBoxError, Series,
+                      exponent_map)
 from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2, ms_p, restrict_z,
                      siegel_div, siegel_pow)
 
@@ -83,7 +84,8 @@ def verify(ident: str, qmax: int = 144, smax: int = 144) -> VerifyResult:
         return VerifyResult(ident, "error", detail="insufficient box requested")
     try:
         left, right = rec.build(qmax, smax)
-    except Exception as exc:  # box shortfalls are reported, not raised
+    except (InsufficientBoxError, ExactDivisionError) as exc:
+        # box shortfalls are reported; any other exception is a bug and propagates
         return VerifyResult(ident, "error", detail=f"{type(exc).__name__}: {exc}")
     box = left.common_box(right)
     if not rec.fixed_box:
@@ -179,17 +181,12 @@ def _build_sigma(name, matrix, q, s):
     def build(qmax, smax):
         F = _closed(name, q, s)
         ser = F.series
-        M = [[Fraction(x) for x in row] for row in matrix]
+        image = exponent_map(matrix, ser.denoms, ser.denoms)
         img = {}
         for key, c in ser.terms():
-            e = ser.exponents(key)
-            out = []
-            for v in range(3):
-                x = sum(M[v][j] * e[j] for j in range(3)) * ser.denoms[v]
-                out.append(x.numerator if x.denominator == 1 else None)
-            if None in out:
+            out = image(key)
+            if out is None:
                 continue
-            out = tuple(out)
             if all(ser.trunc[v] is None or out[v] <= ser.trunc[v] for v in (0, 2)):
                 img[out] = c
         left = Series(3, ser.denoms, img, ser.trunc, ser.floor)

@@ -15,13 +15,9 @@ from math import gcd, isqrt
 
 from .chars import CharacterTag, kronecker, v_eta_sigma
 from .forms import JacobiExpansion, catalog, eta_power
-from .qseries import Series
+from .qseries import InsufficientBoxError, Series
 
 QRS_DENOMS = (24, 2, 24)
-
-
-class InsufficientBoxError(ValueError):
-    """The input expansion is not deep enough for the requested output box."""
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ class ExactDivisionError(ArithmeticError):
     """Division left a nonzero remainder: the inputs were not an exact quotient."""
 
 
+class InsufficientBoxError(ValueError):
+    """The input expansion is not deep enough for the requested output box."""
+
+
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
@@ -44,6 +48,50 @@ def _min_none(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def exponent_map(matrix, src_denoms, dst_denoms):
+    """Integer kernel of the exponent substitution e -> M e.
+
+    Keys are exponent numerators over ``src_denoms``; images are numerators
+    over ``dst_denoms``.  The rational entries M[v][j] * dst[v] / src[j] are
+    reduced once to integer rows over one common denominator D, so every
+    image numerator is an integer dot product, on the lattice exactly when
+    D divides it.  Returns ``image(key)``: the image key, or None when the
+    image leaves the lattice.
+    """
+    nv = len(src_denoms)
+    rows = [[Fraction(matrix[v][j]) * dst_denoms[v] / src_denoms[j]
+             for j in range(nv)] for v in range(nv)]
+    D = 1
+    for row in rows:
+        for x in row:
+            D = _lcm(D, x.denominator)
+    A = [tuple(int(x * D) for x in row) for row in rows]
+
+    if nv == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = A
+
+        def image(k):
+            k0, k1, k2 = k
+            x = a0 * k0 + a1 * k1 + a2 * k2
+            y = b0 * k0 + b1 * k1 + b2 * k2
+            z = c0 * k0 + c1 * k1 + c2 * k2
+            if D == 1:
+                return (x, y, z)
+            if x % D or y % D or z % D:
+                return None
+            return (x // D, y // D, z // D)
+        return image
+
+    def image(k):
+        img = tuple(sum(a * x for a, x in zip(row, k)) for row in A)
+        if D == 1:
+            return img
+        if any(x % D for x in img):
+            return None
+        return tuple(x // D for x in img)
+    return image
 
 
 class Series:
@@ -124,9 +172,6 @@ class Series:
         coeffs = {tuple(a * m for a, m in zip(k, mult)): c for k, c in self.coeffs.items()}
         return Series(self.nvars, denoms, coeffs, sc(self.trunc),
                       tuple(a * m for a, m in zip(self.floor, mult)))
-
-    def copy(self) -> "Series":
-        return Series(self.nvars, self.denoms, dict(self.coeffs), self.trunc, self.floor)
 
     def coarsened(self, denoms) -> "Series":
         """Inverse of :meth:`rescaled`: move to coarser denominators, checking
@@ -537,33 +582,36 @@ class Series:
                           new_trunc=None, new_floor=None) -> "Series":
         """Map each monomial c*x^e to c*phase(key)*x^(M e).
 
-        ``matrix`` is an nvars x nvars array of Fractions acting on actual
-        exponent vectors.  When the matrix does not move r-content into the
-        bounded variables and has nonnegative bounded-variable block, the
-        result box is derived automatically; otherwise the caller must
-        supply ``new_trunc``/``new_floor`` (as justified by the support
-        structure of the object being mapped).
+        ``matrix`` is an nvars x nvars array of rationals acting on actual
+        exponent vectors; the image keys are numerators over ``denoms``
+        (default: the source denominators).  The map runs on the integer
+        kernel of :func:`exponent_map`, so no Fraction is built per term;
+        an image off the lattice raises ValueError.  ``phase``, if given,
+        receives the source key and returns an int or a
+        :class:`~paramodular.cyclotomic.Cyc`, all of a single order.
+
+        When the matrix does not move r-content into the bounded variables
+        and has nonnegative bounded-variable block, the result box is
+        derived automatically; otherwise the caller must supply
+        ``new_trunc``/``new_floor`` (as justified by the support structure
+        of the object being mapped).
         """
         nv = self.nvars
         M = [[Fraction(x) for x in row] for row in matrix]
         denoms = tuple(denoms) if denoms is not None else self.denoms
         bv = bounded_vars(nv)
+        image = exponent_map(M, self.denoms, denoms)
 
         coeffs = {}
         for k, c in self.coeffs.items():
-            e = [Fraction(k[i], self.denoms[i]) for i in range(nv)]
-            img = []
-            for v in range(nv):
-                x = sum(M[v][j] * e[j] for j in range(nv)) * denoms[v]
-                if x.denominator != 1:
-                    raise ValueError(f"image exponent {x} of {k} leaves the lattice "
-                                     f"over denominators {denoms}")
-                img.append(x.numerator)
+            key = image(k)
+            if key is None:
+                raise ValueError(f"image of exponent key {k} leaves the lattice "
+                                 f"over denominators {denoms}")
             if phase is not None:
                 c = c * phase(k)
                 if not c:
                     continue
-            key = tuple(img)
             v = coeffs.get(key, 0) + c
             if v:
                 coeffs[key] = v
@@ -638,9 +686,6 @@ class Series:
                 if a.coeffs.get(k, 0) != b.coeffs.get(k, 0):
                     bad.append(k)
         return min(bad, key=a._order) if bad else None
-
-    def equal_on_box(self, other: "Series", box=None) -> bool:
-        return self.first_mismatch(other, box) is None
 
     def leading(self):
         """(key, coeff) of the least term in graded-lex order."""

@@ -10,11 +10,12 @@ anti-invariance checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
-from .chars import CharacterTag
 from .cyclotomic import Cyc
 from .lift import QRS_DENOMS, SiegelExpansion
-from .qseries import Series
+from .qseries import InsufficientBoxError, Series, exponent_map
 
 
 def siegel_mul(a: SiegelExpansion, b: SiegelExpansion) -> SiegelExpansion:
@@ -44,6 +45,16 @@ def phase_root(omega: Fraction):
     return Cyc.root(den, num)
 
 
+@lru_cache(maxsize=None)
+def _root_of(num: int, den: int):
+    return phase_root(Fraction(num, den))
+
+
+def _phase(num: int, den: int):
+    """exp(2 pi i num/den), memoised by the residue of num modulo den."""
+    return _root_of(num % den, den)
+
+
 def ms_p(F: SiegelExpansion, p: int, cap=None) -> SiegelExpansion:
     """Multiplicative symmetrisation: the product of F at (tau, p z, p^2 w)
     with the p translates of F in w by 1/(tp); the result carries level tp
@@ -53,7 +64,7 @@ def ms_p(F: SiegelExpansion, p: int, cap=None) -> SiegelExpansion:
     t = F.level
     ser = F.series
     # factor (i): exponents (q, p r, p^2 s)
-    m_scale = ((Fraction(1), 0, 0), (0, Fraction(p), 0), (0, 0, Fraction(p * p)))
+    m_scale = ((1, 0, 0), (0, p, 0), (0, 0, p * p))
     fac_i = ser.substitute_linear(m_scale)
 
     # factor (ii): prod over b mod p of F(w + b/(tp)); a term s^gamma picks
@@ -61,19 +72,20 @@ def ms_p(F: SiegelExpansion, p: int, cap=None) -> SiegelExpansion:
     # multiples of t, so relative to the lowest exponent gamma_0 the phases
     # are p-th roots of unity; the constant e(gamma_0 b/(tp)) per factor is
     # a global root of unity absorbed by the normalization convention.
-    gamma0 = Fraction(ser.floor[2], 24)
+    # Over s-numerators n (gamma = n/24) with t = u/v, the phase is
+    # e((n - n_0) b v / (24 p u)), an integer over an integer modulus.
+    u, v, s0 = t.numerator, t.denominator, ser.floor[2]
     acc = ser
     for b in range(1, p):
-        def sphase(key, b=b):
-            return phase_root((Fraction(key[2], 24) - gamma0) * b / (t * p))
-        fb = ser.substitute_linear(_ID3, phase=sphase)
+        fb = ser.substitute_linear(
+            _ID3, phase=lambda k, m=b * v: _phase((k[2] - s0) * m, 24 * p * u))
         acc = acc.mul(fb, cap=cap)
     out = fac_i.mul(acc, cap=cap).rationalized()
     return SiegelExpansion(out, t * p, F.weight * (p + 1), F.char.scaled(p + 1),
                            "symmetrisation")
 
 
-_ID3 = ((Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, Fraction(1)))
+_ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansion:
@@ -91,7 +103,6 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     if not ser.coeffs:
         return SiegelExpansion(ser, 1, F.weight * 15, F.char.scaled(15), "hecke-product")
     half = Fraction(1, 2)
-    two = Fraction(2)
     fq, fr, fs = ser.floor
     factors = []
     # halving maps leave the (24, 2, 24) exponent lattice; intermediates
@@ -103,15 +114,20 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     # split off per coset is absorbed by the identities' logged constants
     base_key = ser.min_key()
 
-    def phased(mat, omega_of, trunc=None, floor=None):
+    def phased(mat, shift=(0, 0, 0), trunc=None, floor=None):
+        """The substituted copy with phase e(shift . (key - base_key) / 48)
+        on source keys over (24, 2, 24): translating (tau, z, w) by
+        (a, b, c)/2 multiplies q^(k0/24) r^(k1/2) s^(k2/24) by
+        e((a k0 + 12 b k1 + c k2) / 48), i.e. shift = (a, 12 b, c)."""
         if trunc is not None:
             trunc = tuple(None if x is None else 2 * x for x in trunc)
         if floor is not None:
             floor = tuple(2 * x for x in floor)
         phase = None
-        if omega_of:
-            w0 = omega_of(base_key)
-            phase = lambda k: phase_root(omega_of(k) - w0)
+        if any(shift):
+            h0, h1, h2 = shift
+            e0 = h0 * base_key[0] + h1 * base_key[1] + h2 * base_key[2]
+            phase = lambda k: _phase(h0 * k[0] + h1 * k[1] + h2 * k[2] - e0, 48)
         return ser.substitute_linear(
             mat, phase=phase, denoms=fine, new_trunc=trunc, new_floor=floor)
 
@@ -120,40 +136,32 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     for a in range(2):
         for b in range(2):
             for c in range(2):
-                factors.append(phased(
-                    m1,
-                    (lambda k, a=a, b=b, c=c:
-                     Fraction(k[0] * a, 48) + Fraction(k[1] * b, 4)
-                     + Fraction(k[2] * c, 48)) if (a or b or c) else None))
+                factors.append(phased(m1, (a, 12 * b, c)))
     # family 2: (tau+a)/2, z, 2w
-    m2 = ((half, 0, 0), (0, Fraction(1), 0), (0, 0, two))
+    m2 = ((half, 0, 0), (0, 1, 0), (0, 0, 2))
     for a in range(2):
-        factors.append(phased(m2, (lambda k, a=a: Fraction(k[0] * a, 48)) if a else None))
+        factors.append(phased(m2, (a, 0, 0)))
     # family 3: 2 tau, z, (w+a)/2
-    m3 = ((two, 0, 0), (0, Fraction(1), 0), (0, 0, half))
+    m3 = ((2, 0, 0), (0, 1, 0), (0, 0, half))
     for a in range(2):
-        factors.append(phased(m3, (lambda k, a=a: Fraction(k[2] * a, 48)) if a else None))
+        factors.append(phased(m3, (0, 0, a)))
     # family 4: 2 tau, 2 z, 2 w
-    m4 = ((two, 0, 0), (0, two, 0), (0, 0, two))
-    factors.append(phased(m4, None))
+    m4 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    factors.append(phased(m4))
     # family 5: 2 tau, -tau + z, (tau - 2z + w + b)/2.  The mixed map needs
     # an explicit box: on a cusp expansion with 4 x w >= y^2 the image
     # exponent 2x - y + w/2 is at least (sqrt(2x) - sqrt(w/2))^2, so the
     # image is complete on q <= (sqrt(2 Tq) - sqrt(Ts/2))^2, s <= Ts/2
-    from math import isqrt
-    m5 = ((two, Fraction(-1), half), (0, Fraction(1), Fraction(-1)), (0, 0, half))
+    m5 = ((2, -1, half), (0, 1, -1), (0, 0, half))
     Tq, Ts = ser.trunc[0], ser.trunc[2]
     if Tq is None or Ts is None:
-        raise ValueError("the coset product needs a finitely truncated input")
+        raise InsufficientBoxError("the coset product needs a finitely truncated input")
     aa = isqrt(2 * 24 * Tq)
     bb = isqrt(24 * Ts // 2) + 1
     tq5 = max((aa - bb) ** 2 // 24 - 1, 0) if aa > bb else 0
     floor5 = (0, fr - fs, fs // 2)  # q-floor 0 from the support cone
     for b in range(2):
-        factors.append(phased(
-            m5, (lambda k, b=b: Fraction(k[2] * b, 48)) if b else None,
-            trunc=(tq5, None, Ts // 2),
-            floor=floor5))
+        factors.append(phased(m5, (0, 0, b), trunc=(tq5, None, Ts // 2), floor=floor5))
 
     out = None
     for f in factors:
@@ -215,21 +223,12 @@ def check_sign_under(F: SiegelExpansion, matrix, sign: int) -> bool:
     """Every stored term whose image key stays inside the box must map to
     sign times the coefficient there; at least one pair must be checked."""
     ser = F.series
+    image = exponent_map(matrix, ser.denoms, ser.denoms)
     checked = 0
-    M = [[Fraction(x) for x in row] for row in matrix]
     for key, c in ser.terms():
-        e = ser.exponents(key)
-        img = []
-        ok = True
-        for v in range(3):
-            x = sum(M[v][j] * e[j] for j in range(3)) * ser.denoms[v]
-            if x.denominator != 1:
-                ok = False
-                break
-            img.append(x.numerator)
-        if not ok:
+        img = image(key)
+        if img is None:
             return False
-        img = tuple(img)
         inside = all(ser.trunc[v] is None or img[v] <= ser.trunc[v] for v in (0, 2))
         if inside:
             checked += 1

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from paramodular.cli import main
+from paramodular.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_USAGE, main
 from paramodular.qseries import Series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +68,48 @@ def test_verify_json_output(capsys):
 def test_verify_insufficient_box(capsys):
     assert main(["verify", "eq3.16", "--qmax", "0", "--smax", "0"]) == 1
     assert "error" in capsys.readouterr().out.lower()
+
+
+def _add_identity(monkeypatch, ident, exc):
+    from paramodular import identities
+
+    def build(qmax, smax):
+        raise exc
+    monkeypatch.setitem(identities.registry(), ident,
+                        identities.IdentityRecord(ident, "0", "raises", "exact", build))
+
+
+def test_verify_reports_box_shortfalls(monkeypatch, capsys):
+    from paramodular.lift import InsufficientBoxError
+    _add_identity(monkeypatch, "short-box", InsufficientBoxError("input too shallow"))
+    assert main(["verify", "short-box"]) == EXIT_MISMATCH
+    assert "input too shallow" in capsys.readouterr().out
+
+
+def test_verify_propagates_internal_errors(monkeypatch, capsys):
+    from paramodular import identities
+    _add_identity(monkeypatch, "broken", RuntimeError("a bug"))
+    with pytest.raises(RuntimeError, match="a bug"):
+        identities.verify("broken", 24, 24)
+    assert main(["verify", "broken"]) == EXIT_INTERNAL
+    assert "RuntimeError: a bug" in capsys.readouterr().err
+
+
+def test_export_trunc_is_the_certified_box(monkeypatch, capsys):
+    from paramodular import forms
+    assert main(["export", "phi_3_1", "--qmax", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["trunc"] == [72, None]
+    deep = forms.catalog("phi_3_1", 24 * 5).series.restricted((72,))
+    assert Series.from_json_dict(data).first_mismatch(deep) is None
+
+    real = forms.catalog
+    monkeypatch.setattr(forms, "catalog",
+                        lambda name, qmax: real(name, qmax).restricted(qmax - 20))
+    assert main(["export", "phi_3_1", "--qmax", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certified to numerator 52" in captured.err
 
 
 def test_verify_section_filter(capsys):

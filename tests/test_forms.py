@@ -272,3 +272,24 @@ def test_catalog_cache_is_thread_safe():
     assert len(results) == 8
     base = results[0].series
     assert all(r.series.first_mismatch(base) is None for r in results)
+
+
+def test_every_catalog_form_meets_the_requested_depth(monkeypatch):
+    from paramodular import forms
+    monkeypatch.setattr(forms, "_CACHE", {})
+    for depth in (24, 96, 144, 480):
+        short = {}
+        for name in registry_names():
+            got = catalog(name, depth).qmax
+            if got is not None and got < depth:
+                short[name] = got
+        assert not short, (depth, short)
+
+
+def test_catalog_refuses_a_short_build(monkeypatch):
+    from paramodular import forms
+    monkeypatch.setattr(forms, "_CACHE", {})
+    monkeypatch.setitem(forms._BUILDERS, "theta",
+                        lambda qmax: theta_series(qmax).restricted(qmax - 24))
+    with pytest.raises(RuntimeError, match="short of the requested 96"):
+        catalog("theta", 96)
