@@ -6,6 +6,12 @@ from dataclasses import dataclass
 from math import gcd
 
 
+def divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order."""
+    n = abs(n)
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def kronecker(a: int, b: int) -> int:
     """Kronecker symbol (a/b), fully extended (b may be zero, negative, even)."""
     if b == 0:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +16,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def cache_dir() -> Path:
-    env = os.environ.get("PARAMODULAR_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "paramodular"
 
 
 def _series_json(series: Series) -> str:
@@ -41,11 +33,11 @@ def _series_csv(series: Series) -> str:
 
 
 def _emit(series: Series, args) -> None:
-    if getattr(args, "csv", False):
+    if args.csv:
         text = _series_csv(series)
     else:
         text = _series_json(series) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -86,22 +78,12 @@ def cmd_hecke(args) -> int:
 
 def cmd_lift(args) -> int:
     q, s = _box(args)
-    mu = getattr(args, "mu", 1)
-    cache = cache_dir()
-    key = cache / f"{args.kind}_{args.name.replace(':', '_')}_{mu}_{q}_{s}.json"
-    if os.environ.get("PARAMODULAR_CACHE") and key.exists():
-        ser = Series.from_json_dict(json.loads(key.read_text()))
-        _emit(ser, args)
-        return EXIT_OK
     if args.kind == "arith":
-        F = lift.lift_arith(args.name, mu, q, s)
+        F = lift.lift_arith(args.name, args.mu, q, s)
     elif args.kind == "exp":
         F = lift.lift_exp(args.name, q, s)
     else:
         F = lift.closed_form(args.name, q, s)
-    if os.environ.get("PARAMODULAR_CACHE"):
-        key.parent.mkdir(parents=True, exist_ok=True)
-        key.write_text(_series_json(F.series))
     _emit(F.series, args)
     return EXIT_OK
 
@@ -256,15 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="q-exponent bound (exponent units)")
         p.add_argument("--smax", type=int, default=s,
                        help="s-exponent bound (exponent units)")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--csv", action="store_true", help="CSV output")
+
+    def emit_opts(p):
+        """The options of the commands that print one series through _emit."""
+        box_opts(p)
+        p.add_argument("--csv", action="store_true", help="CSV output (default JSON)")
         p.add_argument("-o", "--output", help="write to file")
 
     p = sub.add_parser("form", help="expand a catalog Jacobi form")
     fsub = p.add_subparsers(dest="verb", required=True)
     fe = fsub.add_parser("expand")
     fe.add_argument("name", choices=forms.registry_names())
-    box_opts(fe)
+    emit_opts(fe)
     fe.set_defaults(func=cmd_form)
 
     p = sub.add_parser("hecke", help="apply a Hecke operator")
@@ -273,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ha.add_argument("--op", required=True,
                     help="descriptor like t0:2, tminus:3, lambda:2, tplus2, tplus14")
     ha.add_argument("--form", required=True)
-    box_opts(ha)
+    emit_opts(ha)
     ha.set_defaults(func=cmd_hecke)
 
     p = sub.add_parser("lift", help="arithmetic/exponential/closed-form liftings")
@@ -283,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         lp.add_argument("name")
         if kind == "arith":
             lp.add_argument("--mu", type=int, default=1)
-        box_opts(lp)
+        emit_opts(lp)
         lp.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("siegel", help="algebra on three-variable expansions")
@@ -295,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
             spp.add_argument("--p", type=int, required=True)
         if verb == "restrict":
             spp.add_argument("--alpha", choices=["0", "half"], required=True)
-        box_opts(spp)
+        emit_opts(spp)
         spp.set_defaults(func=cmd_siegel)
 
     p = sub.add_parser("roots", help="hyperbolic root-system data")
@@ -312,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", nargs="?", default="all")
     p.add_argument("--section", default=None)
     box_opts(p)
+    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="deterministic JSON/CSV coefficient export")
@@ -320,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goldens", default=None, help="compare against a goldens dir")
     p.add_argument("--regen-goldens", action="store_true")
     box_opts(p, 3, 3)
+    p.add_argument("-o", "--output", help="write to file")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("diff", help="compare two exported JSON series")

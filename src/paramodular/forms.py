@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .chars import CharacterTag, kronecker
+from .chars import CharacterTag, divisors, kronecker
 from .qseries import Series
 
 QR_DENOMS = (24, 2)
@@ -57,10 +57,6 @@ class JacobiExpansion:
             if a == n24.numerator:
                 out[b] = c
         return out
-
-    def norm_of_key(self, key) -> Fraction:
-        n, l = key
-        return 4 * self.index * Fraction(n, 24) - Fraction(l, 2) ** 2
 
     def norm_map(self, strict: bool = True) -> dict:
         """Norm (4tn - l^2, integer units) -> coefficient, for weight-0
@@ -258,7 +254,7 @@ def eisenstein(k: int, qmax: int) -> JacobiExpansion:
     terms = [((0, 0), 1)]
     n = 1
     while 24 * n <= qmax:
-        sig = sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        sig = sum(d ** (k - 1) for d in divisors(n))
         terms.append(((24 * n, 0), consts[k] * sig))
         n += 1
     s = Series.from_terms(2, QR_DENOMS, terms, (qmax, None), (0, 0))

@@ -13,16 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .chars import CharacterTag, kronecker, v_eta_sigma
+from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
 from .cyclotomic import Cyc
 from .forms import QR_DENOMS, JacobiExpansion
 from .qseries import InsufficientBoxError, Series
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def lambda_op(phi: JacobiExpansion, n: int) -> JacobiExpansion:
@@ -53,7 +47,7 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     coeffs = {}
     tout = phi.qmax // m  # numerator units
     for (n, l), c in _paper_terms(phi):
-        for a in _divisors(m):
+        for a in divisors(m):
             if (n * a * a) % m:
                 continue
             key = (24 * (n * a * a // m), 2 * l * a)
@@ -65,7 +59,7 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
             elif key in coeffs:
                 del coeffs[key]
     fq = min(Fraction(phi.series.floor[0] * a * a, m).__floor__()
-             for a in _divisors(m))
+             for a in divisors(m))
     ser = Series(2, QR_DENOMS, coeffs, (tout, None),
                  (fq, min((k[1] for k in coeffs), default=0)))
     ser._drop_overflow()
@@ -95,7 +89,7 @@ def t_minus_char(phi: JacobiExpansion, m: int, Q: int | None = None,
         if n24 % D:
             raise ValueError("expansion is not supported on the stated character lattice")
         bigN = n24 // D
-        for a in _divisors(m):
+        for a in divisors(m):
             d = m // a
             if bigN % d:
                 continue
@@ -112,7 +106,7 @@ def t_minus_char(phi: JacobiExpansion, m: int, Q: int | None = None,
     if Q > 2 and m % Q == Q - 1:
         Dout = -Dout  # conjugated character for m = -1 mod Q
     fq = min(Fraction(phi.series.floor[0] * a, m // a).__floor__()
-             for a in _divisors(m))
+             for a in divisors(m))
     ser = Series(2, QR_DENOMS, coeffs, (tout, None),
                  (fq, min((kk[1] for kk in coeffs), default=0)))
     ser._drop_overflow()
@@ -333,27 +327,29 @@ def t_plus_1_4(phi: JacobiExpansion) -> JacobiExpansion:
     return lambda_star(t0(phi, 2), 2).scale_div(2)
 
 
+# kind -> operator(phi, param); each looks its function up when called, so a
+# rebinding of the module attribute takes effect
+_OPERATORS = {
+    "lambda": lambda phi, n: lambda_op(phi, n),
+    "tminus": lambda phi, m: t_minus_weight0(phi, m),
+    "tminuschar": lambda phi, m: t_minus_char(phi, m),
+    "t0": lambda phi, p: t0(phi, p),
+    "tplus2": lambda phi, _: t_plus_2(phi),
+    "tplus14": lambda phi, _: t_plus_1_4(phi),
+    "lambdastar": lambda phi, n: lambda_star(phi, n),
+}
+
+
 @dataclass(frozen=True)
 class HeckeDescriptor:
     kind: str          # lambda | tminus | tminuschar | t0 | tplus2 | tplus14 | lambdastar
     param: int = 1
 
     def apply(self, phi: JacobiExpansion) -> JacobiExpansion:
-        if self.kind == "lambda":
-            return lambda_op(phi, self.param)
-        if self.kind == "tminus":
-            return t_minus_weight0(phi, self.param)
-        if self.kind == "tminuschar":
-            return t_minus_char(phi, self.param)
-        if self.kind == "t0":
-            return t0(phi, self.param)
-        if self.kind == "tplus2":
-            return t_plus_2(phi)
-        if self.kind == "tplus14":
-            return t_plus_1_4(phi)
-        if self.kind == "lambdastar":
-            return lambda_star(phi, self.param)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
+        op = _OPERATORS.get(self.kind)
+        if op is None:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
+        return op(phi, self.param)
 
     @classmethod
     def parse(cls, text: str) -> "HeckeDescriptor":

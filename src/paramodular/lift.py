@@ -9,27 +9,16 @@ independent oracles for the identity suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
+from typing import NamedTuple
 
-from .chars import CharacterTag, kronecker, v_eta_sigma
+from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
 from .forms import JacobiExpansion, catalog, eta_power
 from .qseries import InsufficientBoxError, Series
 
 QRS_DENOMS = (24, 2, 24)
-
-
-@dataclass(frozen=True)
-class LiftSpec:
-    """Everything needed to request a divisor-sum lifting of a catalog form."""
-    name: str
-    mu: int = 1
-    qmax: int = 144
-    smax: int = 144
-
-    def run(self) -> "SiegelExpansion":
-        return lift_arith(self.name, self.mu, self.qmax, self.smax)
 
 
 class SiegelExpansion:
@@ -72,6 +61,19 @@ class SiegelExpansion:
 # ----------------------------------------------------------------------
 # arithmetic lifting
 
+def _arith_box(phi: JacobiExpansion, qmax: int, smax: int):
+    """(D, Nmax, Mmax, need) for ``arith_lift``: the eta-character exponent,
+    which must be even and divide 24, the largest q- and s-multipliers N, M
+    inside the output box, and the input q-numerator depth D*Nmax*Mmax
+    their products reach."""
+    D = phi.char.D or 24  # trivial character: conductor 1
+    if D % 2 or 24 % D:
+        raise ValueError("need an even character exponent D dividing 24")
+    Nmax = qmax // D
+    Mmax = int(Fraction(smax, 24) / phi.index)
+    return D, Nmax, Mmax, D * Nmax * Mmax
+
+
 def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
                smax: int = 144) -> SiegelExpansion:
     """Divisor-sum lifting of a Jacobi cusp form of integral weight and
@@ -86,11 +88,7 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
     if phi.weight.denominator != 1:
         raise ValueError("arithmetic lifting needs integral weight")
     k = phi.weight.numerator
-    D = phi.char.D
-    if D == 0:
-        D = 24  # trivial character: conductor 1
-    if D % 2 or 24 % D:
-        raise ValueError("need an even character exponent D dividing 24")
+    D, Nmax, Mmax, need = _arith_box(phi, qmax, smax)
     Q = 24 // D
     if gcd(mu, Q) != 1:
         raise ValueError(f"mu={mu} is not invertible modulo Q={Q}")
@@ -100,9 +98,6 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
     t = phi.index
     eps = phi.char.eps
 
-    Nmax = qmax // D
-    Mmax = int(Fraction(smax, 24) / t)
-    need = D * Nmax * Mmax
     if phi.qmax is not None and phi.qmax < need:
         raise InsufficientBoxError(
             f"input known to q-numerator {phi.qmax}, need {need}")
@@ -117,7 +112,7 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
                 if (L - eps) % 2:
                     continue
                 acc = 0
-                for a in _pos_divisors(gcd(gcd(N, M), abs(L)) if L else gcd(N, M)):
+                for a in divisors(gcd(gcd(N, M), L)):
                     fv = phi.fkey(N * M * D // (a * a), L // a)
                     if fv:
                         acc += a ** (k - 1) * v_eta_sigma(a, D) * fv
@@ -131,62 +126,18 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
                            mu=mu, v_eigen=1)
 
 
-def _pos_divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        return (1,)
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-def arith_input_qmax(phi_char_D: int, index, qmax: int, smax: int) -> int:
-    """Input q-numerator depth needed by arith_lift for the given output box."""
-    D = phi_char_D if phi_char_D else 24
-    t = Fraction(index)
-    nmax = qmax // D
-    mmax = int(Fraction(smax, 24) / t)
-    return max(D * nmax * mmax, 24)
-
-
 def lift_arith(name: str, mu: int = 1, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
     """Arithmetic lifting of a registry form, requesting its own input depth."""
-    probe = catalog(name, 24)
-    need = arith_input_qmax(probe.char.D, probe.index, qmax, smax)
-    return arith_lift(catalog(name, need), mu, qmax, smax)
+    need = _arith_box(catalog(name, 24), qmax, smax)[-1]
+    return arith_lift(catalog(name, max(need, 24)), mu, qmax, smax)
 
 
 def lift_exp(name: str, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
-    """Exponential lifting of a registry form, requesting its own input depth."""
-    probe = catalog(name, 96)
-    t = probe.index
-    if t.denominator != 1:
-        raise ValueError("integer index required")
-    need = exp_input_qmax(probe, qmax, smax)
-    return exp_lift(catalog(name, need), qmax, smax)
-
-
-def exp_input_qmax(phi: JacobiExpansion, qmax: int, smax: int) -> int:
-    """Input q-numerator depth needed by exp_lift for the given output box;
-    the q^0 row and the negative-q rows of ``phi`` must already be visible."""
-    t = phi.index.numerator
-    f0sum = 0
-    prefix_q = prefix_s = 0
-    rewritten = []
-    for (n24, l2), c in phi.series.terms():
-        n, l = n24 // 24, l2 // 2
-        if n == 0:
-            f0sum += c
-            prefix_s += 6 * l * l * c
-        if n < 0:
-            for m in _pos_divisors(n):
-                rewritten.append((n // m, m, c))
-    prefix_q += f0sum
-    for (n, m, e) in rewritten:
-        prefix_q += e * 24 * n
-        prefix_s += e * 24 * t * m
-    Wq = max(qmax - min(prefix_q, 0), 0)
-    degrade = sum((Wq // (24 * (-n))) * 24 * t * m for (n, m, e) in rewritten)
-    Ws = max(smax - min(prefix_s, 0) + degrade, 0)
-    return 24 * max((Wq // 24) * max(Ws // (24 * t), 1), Wq // 24, 1)
+    """Exponential lifting of a registry form, requesting its own input depth.
+    The plan reads only the q^0 and negative-q rows, which a depth-96 probe
+    already shows."""
+    depth = _exp_plan(catalog(name, 96), qmax, smax).depth
+    return exp_lift(catalog(name, depth), qmax, smax)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +171,7 @@ def _cf_delta5(qmax, smax):
                 if l % 2 == 0:
                     continue
                 acc = 0
-                for a in _pos_divisors(gcd(gcd(n, m), l)):
+                for a in divisors(gcd(gcd(n, m), l)):
                     x = (4 * n * m - l * l) // (a * a)
                     tv = tau9.get(x, 0)
                     if tv:
@@ -233,138 +184,139 @@ def _cf_delta5(qmax, smax):
     return SiegelExpansion(ser, 1, 5, CharacterTag(12, 1), "closed-form")
 
 
-def _cf_delta2(qmax, smax):
-    nmax = qmax // 6
-    mmax = smax // 12
+def _cf_divisor_sum(D, t, k, form, dN, dl, da, qmax, smax):
+    """Weight-k, level-t form with character (D, 1): for n, m = 1 mod 24/D
+    the coefficient of q^(D n/24) r^(l/2) s^(t D m/24) is
+        N^(k-1) (dN/N) (dl/l) sum over e | (n, m, l) of (da/e)
+    where a n m - b l^2 = c N^2 > 0, (a, b, c) = form, and 0 otherwise."""
+    a, b, c = form
+    step = 24 // D
     coeffs = {}
-    for n in range(1, nmax + 1, 4):
-        for m in range(1, mmax + 1, 4):
-            for l in range(-isqrt(2 * n * m), isqrt(2 * n * m) + 1):
-                NN = 2 * n * m - l * l
-                N = isqrt(NN) if NN > 0 else 0
-                if N == 0 or N * N != NN:
+    for n in range(1, qmax // D + 1, step):
+        for m in range(1, smax // (t * D) + 1, step):
+            lmax = isqrt(a * n * m // b)
+            for l in range(-lmax, lmax + 1):
+                cNN = a * n * m - b * l * l
+                if cNN <= 0 or cNN % c:
                     continue
-                acc = sum(kronecker(-4, a) for a in _pos_divisors(gcd(gcd(n, m), l)))
-                val = N * kronecker(-4, N * l) * acc
+                N = isqrt(cNN // c)
+                if c * N * N != cNN:
+                    continue
+                acc = sum(kronecker(da, e) for e in divisors(gcd(gcd(n, m), l)))
+                val = N ** (k - 1) * kronecker(dN, N) * kronecker(dl, l) * acc
                 if val:
-                    coeffs[(6 * n, l, 12 * m)] = val
+                    coeffs[(D * n, l, t * D * m)] = val
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
-                 (6, min((k[1] for k in coeffs), default=0), 12))
-    return SiegelExpansion(ser, 2, 2, CharacterTag(6, 1), "closed-form")
+                 (D, min((kk[1] for kk in coeffs), default=0), t * D))
+    return SiegelExpansion(ser, t, k, CharacterTag(D, 1), "closed-form")
 
 
-def _cf_delta1(qmax, smax):
-    nmax = qmax // 4
-    mmax = smax // 12
-    coeffs = {}
-    for n in range(1, nmax + 1, 6):
-        for m in range(1, mmax + 1, 6):
-            for l in range(-isqrt(4 * n * m // 3), isqrt(4 * n * m // 3) + 1):
-                MM = 4 * n * m - 3 * l * l
-                M = isqrt(MM) if MM > 0 else 0
-                if M == 0 or M * M != MM:
-                    continue
-                # the character on the divisor sum is the conductor-6
-                # eta-character value times (12/a)(-4/a), i.e. (-3/a)
-                acc = sum(kronecker(-3, a) for a in _pos_divisors(gcd(gcd(n, m), l)))
-                val = kronecker(-4, l) * kronecker(12, M) * acc
-                if val:
-                    coeffs[(4 * n, l, 12 * m)] = val
-    ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
-                 (4, min((k[1] for k in coeffs), default=0), 12))
-    return SiegelExpansion(ser, 3, 1, CharacterTag(4, 1), "closed-form")
-
-
-def _cf_d2(qmax, smax):
-    nmax = qmax // 4
-    mmax = smax // 36
-    coeffs = {}
-    for n in range(1, nmax + 1, 6):
-        for m in range(1, mmax + 1, 6):
-            for l in range(-isqrt(4 * n * m), isqrt(4 * n * m) + 1):
-                NN = 4 * n * m - l * l
-                if NN <= 0 or NN % 3:
-                    continue
-                N = isqrt(NN // 3)
-                if 3 * N * N != NN:
-                    continue
-                acc = sum(kronecker(-3, a) for a in _pos_divisors(gcd(gcd(n, m), l)))
-                val = N * kronecker(-4, N) * kronecker(12, l) * acc
-                if val:
-                    coeffs[(4 * n, l, 36 * m)] = val
-    ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
-                 (4, min((k[1] for k in coeffs), default=0), 36))
-    return SiegelExpansion(ser, 9, 2, CharacterTag(4, 1), "closed-form")
-
-
-def _cf_d1(qmax, smax):
-    nmax = qmax // 2
-    mmax = smax // 36
-    coeffs = {}
-    for n in range(1, nmax + 1, 12):
-        for m in range(1, mmax + 1, 12):
-            for l in range(-isqrt(2 * n * m), isqrt(2 * n * m) + 1):
-                MM = 2 * n * m - l * l
-                M = isqrt(MM) if MM > 0 else 0
-                if M == 0 or M * M != MM:
-                    continue
-                acc = sum(kronecker(-4, a) for a in _pos_divisors(gcd(gcd(n, m), l)))
-                val = kronecker(12, M * l) * acc
-                if val:
-                    coeffs[(2 * n, l, 36 * m)] = val
-    ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
-                 (2, min((k[1] for k in coeffs), default=0), 36))
-    return SiegelExpansion(ser, 18, 1, CharacterTag(2, 1), "closed-form")
-
-
-def _cf_delta_half(qmax, smax):
+def _cf_theta_product(qu, su, chi, level, qmax, smax):
+    """Weight-1/2 form with character (qu, 1): the coefficient of
+    q^(qu n^2/24) r^(n m/2) s^(su m^2/24), n != 0, m >= 1, is (chi/n)(chi/m)."""
     coeffs = {}
     m = 1
-    while 12 * m * m <= smax:
+    while su * m * m <= smax:
         n = 1
-        while 3 * n * n <= qmax:
+        while qu * n * n <= qmax:
             for nn in (n, -n):
-                c = kronecker(-4, nn) * kronecker(-4, m)
+                c = kronecker(chi, nn) * kronecker(chi, m)
                 if c:
-                    coeffs[(3 * n * n, nn * m, 12 * m * m)] = c
-            n += 2
-        m += 2
-    ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
-                 (3, min((k[1] for k in coeffs), default=0), 12))
-    return SiegelExpansion(ser, 4, Fraction(1, 2), CharacterTag(3, 1), "closed-form")
-
-
-def _cf_d_half(qmax, smax):
-    coeffs = {}
-    m = 1
-    while 36 * m * m <= smax:
-        if kronecker(12, m):
-            n = 1
-            while n * n <= qmax:
-                for nn in (n, -n):
-                    c = kronecker(12, nn) * kronecker(12, m)
-                    if c:
-                        coeffs[(n * n, nn * m, 36 * m * m)] = c
-                n += 1
+                    coeffs[(qu * n * n, nn * m, su * m * m)] = c
+            n += 1
         m += 1
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
-                 (1, min((k[1] for k in coeffs), default=0), 36))
-    return SiegelExpansion(ser, 36, Fraction(1, 2), CharacterTag(1, 1), "closed-form")
+                 (qu, min((k[1] for k in coeffs), default=0), su))
+    return SiegelExpansion(ser, level, Fraction(1, 2), CharacterTag(qu, 1), "closed-form")
 
 
+# (D, t, k, (a, b, c), dN, dl, da) of _cf_divisor_sum.  For delta1 the
+# character on the divisor sum is the conductor-6 eta-character value
+# times (12/e)(-4/e), i.e. (-3/e).
+_DIVISOR_SUMS = {
+    "delta1": (4, 3, 1, (4, 3, 1), 12, -4, -3),
+    "delta2": (6, 2, 2, (2, 1, 1), -4, -4, -4),
+    "d2": (4, 9, 2, (4, 1, 3), -4, 12, -3),
+    "d1": (2, 18, 1, (2, 1, 1), 12, 12, -4),
+}
+# (q-unit, s-unit, chi, level) of _cf_theta_product
+_THETA_PRODUCTS = {
+    "delta_half": (3, 12, -4, 4),
+    "d_half": (1, 36, 12, 36),
+}
 _CLOSED = {
     "delta5": _cf_delta5,
-    "delta2": _cf_delta2,
-    "delta1": _cf_delta1,
-    "delta_half": _cf_delta_half,
-    "d_half": _cf_d_half,
-    "d1": _cf_d1,
-    "d2": _cf_d2,
+    **{name: partial(_cf_divisor_sum, *row) for name, row in _DIVISOR_SUMS.items()},
+    **{name: partial(_cf_theta_product, *row) for name, row in _THETA_PRODUCTS.items()},
 }
 
 
 # ----------------------------------------------------------------------
 # exponential (multiplicative) lifting
+
+class _ExpPlan(NamedTuple):
+    """What ``exp_lift`` fixes before it multiplies, read off the q^0 and
+    negative-q rows of its input; ``lift_exp`` requests ``depth`` from the
+    same plan."""
+    t: int
+    fmap: dict          # (n, l) -> f(n, l) in integer exponents
+    f0: dict            # l -> f(0, l)
+    B2: int
+    char: CharacterTag
+    rewritten: list     # sorted (n, l, m, e): the factors with n m < 0
+    prefix: tuple       # (q, r, s) numerators of the prefix monomial
+    sign: int           # and its sign
+    Wq: int             # working box, numerator units
+    Ws: int
+    need_nm: int        # the input must be complete to q^need_nm
+
+    @property
+    def depth(self) -> int:
+        return 24 * max(self.need_nm, 1)
+
+
+def _exp_plan(phi: JacobiExpansion, qmax: int, smax: int) -> _ExpPlan:
+    if phi.weight != 0:
+        raise ValueError("weight-0 input required")
+    if phi.index.denominator != 1 or phi.index < 1:
+        raise ValueError("integer index >= 1 required")
+    t = phi.index.numerator
+    fmap = {}
+    for (n24, l2), c in phi.series.terms():
+        if n24 % 24 or l2 % 2:
+            raise ValueError("integral exponents required")
+        fmap[(n24 // 24, l2 // 2)] = c
+    f0 = {l: c for (n, l), c in fmap.items() if n == 0}
+
+    A24 = sum(f0.values())
+    B2 = sum(l * c for l, c in f0.items() if l > 0)
+    C24 = 6 * sum(l * l * c for l, c in f0.items())
+    # r^B lives inside the q^0 r-ratio of exp_lift; the prefix carries q^A s^C
+    prefix = [A24, 0, C24]
+    sign = 1
+
+    # negative-q factors: nm < 0 admits finitely many splittings nm = n*m;
+    # each is rewritten (1-x)^e = (-x)^e (1 - 1/x)^e, pushing the monomial
+    # (-x)^e into the prefix
+    rewritten = sorted((nm // m, l, m, c) for (nm, l), c in fmap.items() if nm < 0
+                       for m in divisors(nm))
+    for (n, l, m, e) in rewritten:
+        prefix[0] += e * 24 * n
+        prefix[1] += e * 2 * l
+        prefix[2] += e * 24 * t * m
+        if e % 2:
+            sign = -sign
+
+    # working box: the final multiplication by the prefix monomial shifts
+    # the product box, and residual factors with downward s-steps degrade
+    # the certified s-truncation by their maximal power
+    Wq = max(qmax - min(prefix[0], 0), 0)
+    degrade = sum((Wq // (24 * (-n))) * 24 * t * m for (n, l, m, e) in rewritten)
+    Ws = max(smax - min(prefix[2], 0) + degrade, 0)
+    need_nm = max((Wq // 24) * max(Ws // (24 * t), 1), Wq // 24)
+    return _ExpPlan(t, fmap, f0, B2, CharacterTag(A24 % 24, B2 % 2), rewritten,
+                    tuple(prefix), sign, Wq, Ws, need_nm)
+
 
 def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
     """Multiplicative lifting of a weight-0 integral-coefficient form of
@@ -377,60 +329,11 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
     times a factor in the inverse monomial, and the working box is widened
     so the final box is complete.
     """
-    if phi.weight != 0:
-        raise ValueError("weight-0 input required")
-    if phi.index.denominator != 1 or phi.index < 1:
-        raise ValueError("integer index >= 1 required")
-    t = phi.index.numerator
-    f0 = {}
-    fmap = {}
-    nmin_paper = 0
-    for (n24, l2), c in phi.series.terms():
-        if n24 % 24 or l2 % 2:
-            raise ValueError("integral exponents required")
-        n, l = n24 // 24, l2 // 2
-        fmap[(n, l)] = c
-        nmin_paper = min(nmin_paper, n)
-        if n == 0:
-            f0[l] = c
-
-    A24 = sum(f0.values())
-    B2 = sum(l * c for l, c in f0.items() if l > 0)
-    C24 = 6 * sum(l * l * c for l, c in f0.items())
-
-    qmax_paper_in = phi.qmax // 24
-    # r^B lives inside the q^0 r-ratio below; the prefix carries q^A s^C
-    prefix_key = [A24, 0, C24]
-    prefix_sign = 1
-
-    # negative-q factors: nm < 0 admits finitely many splittings nm = n*m;
-    # each is rewritten (1-x)^e = (-x)^e (1 - 1/x)^e, pushing the monomial
-    # (-x)^e into the prefix
-    rewritten = []
-    for (nm, l), c in fmap.items():
-        if nm >= 0:
-            continue
-        for m in _pos_divisors(nm):
-            rewritten.append((nm // m, l, m, c))
-    for (n, l, m, e) in sorted(rewritten):
-        prefix_key[0] += e * 24 * n
-        prefix_key[1] += e * 2 * l
-        prefix_key[2] += e * 24 * t * m
-        if e % 2:
-            prefix_sign = -prefix_sign
-
-    # working box: the final multiplication by the prefix monomial shifts
-    # the product box, and residual factors with downward s-steps degrade
-    # the certified s-truncation by their maximal power
-    Wq_work = max(qmax - min(prefix_key[0], 0), 0)
-    degrade = sum((Wq_work // (24 * (-n))) * 24 * t * m
-                  for (n, l, m, e) in rewritten)
-    Ws_work = max(smax - min(prefix_key[2], 0) + degrade, 0)
-
-    need_nm = max((Wq_work // 24) * max(Ws_work // (24 * t), 1), Wq_work // 24)
-    if qmax_paper_in is not None and qmax_paper_in < need_nm:
+    plan = _exp_plan(phi, qmax, smax)
+    t, f0, Wq_work, Ws_work = plan.t, plan.f0, plan.Wq, plan.Ws
+    if phi.qmax // 24 < plan.need_nm:
         raise InsufficientBoxError(
-            f"input complete to nm <= {qmax_paper_in}, need {need_nm}")
+            f"input complete to nm <= {phi.qmax // 24}, need {plan.need_nm}")
 
     # q^0 r-part: r^B * prod_{l<0} (1 - r^l)^(f(0,l)) as an exact ratio
     num = Series.one(2, (24, 2))
@@ -443,7 +346,7 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
             num = num.mul(base.pow(c))
         elif c < 0:
             den = den.mul(base.pow(-c))
-    num = num.shift((0, B2))
+    num = num.shift((0, plan.B2))
     if len(den) == 1 and den.get((0, 0)) == 1:
         rpart2 = num
     else:
@@ -460,7 +363,7 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
             if c:
                 flist.append((24 * n, 2 * l, 0, c))
     for m in range(1, Ws_work // (24 * t) + 1):
-        for (nm, l), c in sorted(fmap.items()):
+        for (nm, l), c in sorted(plan.fmap.items()):
             if not c or nm < 0 or nm % m:
                 continue
             n = nm // m
@@ -469,7 +372,7 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
                     flist.append((24 * n, 2 * l, 24 * t * m, c))
             else:
                 flist.append((0, 2 * l, 24 * t * m, c))
-    for (n, l, m, c) in sorted(rewritten):
+    for (n, l, m, c) in plan.rewritten:
         flist.append((24 * (-n), -2 * l, -24 * t * m, c))
 
     flist.sort(key=lambda x: (x[0] + max(x[2], 0), x[0], x[2], x[1]))
@@ -479,15 +382,14 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
         fac = _factor_series(dq, dl, ds, e, Wq_work, Ws_work)
         acc = acc.mul(fac, cap=(Wq_work, Ws_work))
 
-    result = acc.shift(tuple(prefix_key), prefix_sign)
+    result = acc.shift(plan.prefix, plan.sign)
     result = result.restricted((qmax, smax))
     if (result.trunc[0] is not None and result.trunc[0] < qmax) or \
        (result.trunc[2] is not None and result.trunc[2] < smax):
         raise InsufficientBoxError(
             f"certified box {result.trunc} fell short of ({qmax}, {smax})")
     weight = Fraction(f0.get(0, 0), 2)
-    char = CharacterTag(A24 % 24, B2 % 2)
-    return SiegelExpansion(result, t, weight, char, "exp-lift")
+    return SiegelExpansion(result, t, weight, plan.char, "exp-lift")
 
 
 def _factor_series(dq: int, dl: int, ds: int, e: int, Wq: int, Ws: int) -> Series:
@@ -534,12 +436,8 @@ def lemma22_checksum(phi: JacobiExpansion) -> int:
             s_const += c
             s_l2 += l * l * c
         elif n < 0:
-            s_neg += _sigma1(-n) * c
+            s_neg += sum(divisors(n)) * c
     return t * s_const - 24 * t * s_neg - 6 * s_l2
-
-
-def _sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def divisor_multiplicity(phi: JacobiExpansion, D: int, b: int) -> int:
@@ -568,5 +466,5 @@ def vt_parity(phi: JacobiExpansion) -> int:
     acc = 0
     for (n24, l2), c in phi.series.terms():
         if n24 < 0:
-            acc += _sigma1(-(n24 // 24)) * c
+            acc += sum(divisors(n24 // 24)) * c
     return acc % 2

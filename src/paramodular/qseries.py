@@ -313,18 +313,19 @@ class Series:
     # multiplication
 
     def _slices(self):
-        """Group coefficients by the bounded-variable part of the key."""
-        nv = self.nvars
+        """Group coefficients by the bounded-variable part of the key: a
+        (q, s) pair, with s = 0 below three variables, mapped to r -> c
+        (r = 0 for one variable)."""
         out = {}
-        if nv == 1:
-            for k, c in self.coeffs.items():
-                out.setdefault((k[0],), {})[0] = c
-        elif nv == 2:
-            for k, c in self.coeffs.items():
-                out.setdefault((k[0],), {})[k[1]] = c
+        if self.nvars == 3:
+            for (q, l, s), c in self.coeffs.items():
+                out.setdefault((q, s), {})[l] = c
+        elif self.nvars == 2:
+            for (q, l), c in self.coeffs.items():
+                out.setdefault((q, 0), {})[l] = c
         else:
-            for k, c in self.coeffs.items():
-                out.setdefault((k[0], k[2]), {})[k[1]] = c
+            for (q,), c in self.coeffs.items():
+                out.setdefault((q, 0), {})[0] = c
         return out
 
     def mul(self, other: "Series", cap=None) -> "Series":
@@ -352,78 +353,42 @@ class Series:
         sa, sb = a._slices(), b._slices()
         if len(sb) < len(sa):
             sa, sb = sb, sa
-        bounds = [trunc[v] for v in bv]
         nv = a.nvars
+        bq, bs = trunc[0], (trunc[2] if nv == 3 else None)
         out_slices: dict = {}
         sa_items = sorted((k, sorted(p.items())) for k, p in sa.items())
         sb_items = sorted((k, sorted(p.items())) for k, p in sb.items())
+        for (ka0, ka1), pa in sa_items:
+            for kb, pb in sb_items:
+                ks0 = ka0 + kb[0]
+                if bq is not None and ks0 > bq:
+                    continue
+                ks1 = ka1 + kb[1]
+                if bs is not None and ks1 > bs:
+                    continue
+                os = out_slices.get((ks0, ks1))
+                if os is None:
+                    os = out_slices[(ks0, ks1)] = {}
+                get = os.get
+                if len(pa) > len(pb):
+                    pa2, pb2 = pb, pa
+                else:
+                    pa2, pb2 = pa, pb
+                # a slot that cancels to zero is deleted, so no zero is kept
+                for l1, c1 in pa2:
+                    for l2, c2 in pb2:
+                        ll = l1 + l2
+                        v = get(ll, 0) + c1 * c2
+                        if v:
+                            os[ll] = v
+                        elif ll in os:
+                            del os[ll]
         if nv == 3:
-            bq, bs = bounds
-            for ka, pa in sa_items:
-                ka0, ka1 = ka
-                for kb, pb in sb_items:
-                    ks0 = ka0 + kb[0]
-                    if bq is not None and ks0 > bq:
-                        continue
-                    ks1 = ka1 + kb[1]
-                    if bs is not None and ks1 > bs:
-                        continue
-                    os = out_slices.get((ks0, ks1))
-                    if os is None:
-                        os = out_slices[(ks0, ks1)] = {}
-                    get = os.get
-                    if len(pa) > len(pb):
-                        pa2, pb2 = pb, pa
-                    else:
-                        pa2, pb2 = pa, pb
-                    for l1, c1 in pa2:
-                        for l2, c2 in pb2:
-                            ll = l1 + l2
-                            v = get(ll, 0) + c1 * c2
-                            if v:
-                                os[ll] = v
-                            elif ll in os:
-                                del os[ll]
-            coeffs = {}
-            for (q, s), os in out_slices.items():
-                for l, c in os.items():
-                    if c:
-                        coeffs[(q, l, s)] = c
+            coeffs = {(q, l, s): c for (q, s), os in out_slices.items() for l, c in os.items()}
+        elif nv == 2:
+            coeffs = {(q, l): c for (q, _), os in out_slices.items() for l, c in os.items()}
         else:
-            bq = bounds[0]
-            for ka, pa in sa_items:
-                ka0 = ka[0]
-                for kb, pb in sb_items:
-                    ks0 = ka0 + kb[0]
-                    if bq is not None and ks0 > bq:
-                        continue
-                    os = out_slices.get(ks0)
-                    if os is None:
-                        os = out_slices[ks0] = {}
-                    get = os.get
-                    if len(pa) > len(pb):
-                        pa2, pb2 = pb, pa
-                    else:
-                        pa2, pb2 = pa, pb
-                    for l1, c1 in pa2:
-                        for l2, c2 in pb2:
-                            ll = l1 + l2
-                            v = get(ll, 0) + c1 * c2
-                            if v:
-                                os[ll] = v
-                            elif ll in os:
-                                del os[ll]
-            coeffs = {}
-            if nv == 1:
-                for q, os in out_slices.items():
-                    c = os.get(0, 0)
-                    if c:
-                        coeffs[(q,)] = c
-            else:
-                for q, os in out_slices.items():
-                    for l, c in os.items():
-                        if c:
-                            coeffs[(q, l)] = c
+            coeffs = {(q,): c for (q, _), os in out_slices.items() for c in os.values()}
         return Series(a.nvars, a.denoms, coeffs, tuple(trunc), floor)
 
     def __mul__(self, other):

@@ -160,6 +160,13 @@ def test_unknown_ids_exit_usage(capsys):
     assert main(["lift", "closed", "nonsense"]) == 2
 
 
+def test_output_flags_a_command_ignores_are_refused(capsys):
+    # verify prints a table or --json; lie-check prints one line
+    assert main(["verify", "eq3.16", "--qmax", "1", "--smax", "1", "--csv"]) == EXIT_USAGE
+    assert main(["roots", "lie-check", "D2", "--json"]) == EXIT_USAGE
+    assert main(["lift", "closed", "delta1", "--json"]) == EXIT_USAGE
+
+
 def test_manifest(capsys):
     assert main(["manifest"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -171,12 +178,3 @@ def test_subprocess_entry_point():
     r = run(["roots", "check", "t1_II_even"])
     assert r.returncode == 0
     assert "tables verified" in r.stdout
-
-
-def test_lift_cache_env_round_trip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PARAMODULAR_CACHE", str(tmp_path / "cache"))
-    assert main(["lift", "closed", "delta1", "--qmax", "2", "--smax", "2"]) == 0
-    first = capsys.readouterr().out
-    assert (tmp_path / "cache").exists()
-    assert main(["lift", "closed", "delta1", "--qmax", "2", "--smax", "2"]) == 0
-    assert capsys.readouterr().out == first

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from paramodular import lift
 from paramodular.forms import catalog
 from paramodular.hecke import t0, t_minus_weight0
 from paramodular.lift import (InsufficientBoxError, arith_lift, closed_form,
@@ -185,10 +186,49 @@ def test_exp_lift_depth8_spot_check():
     assert cf.series.first_mismatch(el.series) is None
     al = lift_arith("eta1_theta", 1, deep, deep)
     assert cf.series.first_mismatch(al.series) is None
+    assert al.mu == 1 and al.level == 3
 
 
-def test_lift_spec_wrapper():
-    from paramodular.lift import LiftSpec
-    F = LiftSpec("eta1_theta", 1, 96, 96).run()
-    assert F.series.first_mismatch(closed_form("delta1", 96, 96).series) is None
-    assert F.mu == 1 and F.level == 3
+# every exp- and arith-lift input of the identity registry
+REGISTRY_EXP = ("phi_0_1", "phi_0_2", "phi_0_3", "phi_0_4", "phi_0_36", "phi_0_9",
+                "phi_0_18", "phi_0_3_6", "phi_0_2_11", "phi_0_5", "phi_0_5_alt",
+                "phi_0_6_a", "phi_0_6_b", "phi_0_6_c", "phi_0_7", "phi_0_10",
+                "phi_0_1_t02m2")
+REGISTRY_ARITH = (("eta9_theta", 1), ("eta3_theta", 1), ("eta1_theta", 1),
+                  ("eta3_theta32", 1), ("eta1_theta32", 1), ("eta11_theta32", 1),
+                  ("eta21_theta2z", 1), ("eta3_theta6_theta2z", 1),
+                  ("eta6_theta_theta2z", 1), ("eta3_theta2_theta2z", 1),
+                  ("eta5_theta2z", 1), ("eta5_theta2z", 2), ("theta3_theta2z", 1),
+                  ("theta_theta2z", 1))
+
+
+def _requested_depth(monkeypatch, run):
+    """The last catalog depth that ``run`` asks lift.py for."""
+    asked = []
+
+    def spy(name, qmax):
+        asked.append(qmax)
+        return catalog(name, qmax)
+
+    monkeypatch.setattr(lift, "catalog", spy)
+    run()
+    monkeypatch.undo()
+    return asked[-1]
+
+
+@pytest.mark.parametrize("box", (2, 3))
+def test_lift_plans_request_exactly_enough_input(monkeypatch, box):
+    b = 24 * box
+    for name in REGISTRY_EXP:
+        need = _requested_depth(monkeypatch, lambda: lift_exp(name, b, b))
+        phi = catalog(name, need)
+        exp_lift(phi.restricted(need), b, b)
+        with pytest.raises(InsufficientBoxError):
+            exp_lift(phi.restricted(need - 1), b, b)
+    for name, mu in REGISTRY_ARITH:
+        need = _requested_depth(monkeypatch, lambda: lift_arith(name, mu, b, b))
+        phi = catalog(name, need)
+        arith_lift(phi.restricted(need), mu, b, b)
+        if need > 24:   # below the 24-numerator floor one less still suffices
+            with pytest.raises(InsufficientBoxError):
+                arith_lift(phi.restricted(need - 1), mu, b, b)

@@ -1,0 +1,70 @@
+"""Digests of lift.py outputs well past the box-3 goldens.
+
+Each digest is a sha256 over an object's sorted coefficients, ``trunc``,
+``floor``, level, weight and character.  ``lift_digests.json`` pins the
+seven closed forms at five box shapes (q- and s-exponents, q != s
+included) and both lifts of every registry pair at box 4.  To re-record
+it, at a commit whose outputs are taken as right:
+
+    PYTHONPATH=src python tests/test_lift_digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from paramodular.lift import closed_form, lift_arith, lift_exp
+
+MANIFEST = Path(__file__).resolve().parent / "lift_digests.json"
+
+CLOSED_BOXES = ((3, 3), (6, 6), (6, 12), (10, 48), (10, 180))
+CLOSED_NAMES = ("delta5", "delta2", "delta1", "delta_half", "d_half", "d1", "d2")
+# the exp and arith sides of the registry pairs that the benchmark checks
+EXP_NAMES = ("phi_0_1", "phi_0_2", "phi_0_3", "phi_0_4", "phi_0_36", "phi_0_9",
+             "phi_0_18", "phi_0_3_6", "phi_0_2_11", "phi_0_5", "phi_0_5_alt",
+             "phi_0_6_a", "phi_0_6_b", "phi_0_7", "phi_0_10")
+ARITH_NAMES = ("eta9_theta", "eta3_theta", "eta1_theta", "eta3_theta32",
+               "eta1_theta32", "eta11_theta32", "eta21_theta2z",
+               "eta3_theta6_theta2z", "eta6_theta_theta2z", "eta3_theta2_theta2z",
+               "eta5_theta2z", "theta3_theta2z", "theta_theta2z")
+LIFT_BOX = 4
+
+
+def digest(F) -> str:
+    ser = F.series
+    data = {
+        "coeffs": [[*k, c] for k, c in sorted(ser.coeffs.items())],
+        "trunc": list(ser.trunc),
+        "floor": list(ser.floor),
+        "level": str(F.level),
+        "weight": str(F.weight),
+        "char": [F.char.D, F.char.eps],
+    }
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def objects():
+    """(label, thunk) for every pinned object."""
+    for name in CLOSED_NAMES:
+        for q, s in CLOSED_BOXES:
+            yield f"closed {name} {q} {s}", (lambda n=name, q=q, s=s:
+                                            closed_form(n, 24 * q, 24 * s))
+    b = 24 * LIFT_BOX
+    for name in EXP_NAMES:
+        yield f"exp {name} {LIFT_BOX}", lambda n=name: lift_exp(n, b, b)
+    for name in ARITH_NAMES:
+        yield f"arith {name} {LIFT_BOX}", lambda n=name: lift_arith(n, 1, b, b)
+
+
+def test_lift_outputs_match_recorded_digests():
+    want = json.loads(MANIFEST.read_text())
+    got = {label: digest(make()) for label, make in objects()}
+    assert sorted(got) == sorted(want)
+    bad = [label for label in got if got[label] != want[label]]
+    assert not bad, bad
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(json.dumps({label: digest(make()) for label, make in objects()},
+                                   sort_keys=True, indent=1) + "\n")
