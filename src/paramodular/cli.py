@@ -90,20 +90,19 @@ def cmd_lift(args) -> int:
 
 def cmd_siegel(args) -> int:
     q, s = _box(args)
+    # the operand is built at the output box; msym and heckeprod refuse a
+    # result certified short of it
+    base = _siegel_object(args.form, q, s)
     if args.verb == "msym":
-        base = _siegel_object(args.form, q + 56, max(s + 56, args.p ** 2 * (s // args.p ** 2 + 72)))
         out = siegel.ms_p(base, args.p, cap=(q, s))
-        _emit(out.series.restricted((q, s)), args)
+        _emit(_certified(out.series, (q, s)), args)
     elif args.verb == "heckeprod":
-        base = _siegel_object(args.form, q + 96, s + 96)
-        out = siegel.hecke_product_T2(base, q + 96, s + 96)
-        _emit(out.series.restricted((q, s)), args)
+        out = siegel.hecke_product_T2(base, q, s)
+        _emit(_certified(out.series, (q, s)), args)
     elif args.verb == "restrict":
-        base = _siegel_object(args.form, q, s)
         alpha = Fraction(1, 2) if args.alpha == "half" else Fraction(0)
         _emit(siegel.restrict_z(base, alpha), args)
     elif args.verb == "involution":
-        base = _siegel_object(args.form, q, s)
         out = siegel.involution_V(base)
         _emit(out.series, args)
     else:
@@ -162,17 +161,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _canonical(ser: Series, box) -> Series:
-    """Restrict to the box and pin the floor entries to the stored minima so
-    exports are byte-identical regardless of internal build depth.  The
-    exported trunc is the certified box clamped to the requested one; an
-    object certified short of the request is refused, never widened."""
+def _certified(ser: Series, box) -> Series:
+    """Restrict to the box.  The trunc is the certified box clamped to the
+    requested one; an object certified short of the request is refused,
+    never widened."""
     ser = ser.restricted(box)
     for v, b in zip(bounded_vars(ser.nvars), box):
         if ser.trunc[v] < b:
             raise InsufficientBoxError(
                 f"certified to numerator {ser.trunc[v]} in variable {v}, "
                 f"short of the requested {b}")
+    return ser
+
+
+def _canonical(ser: Series, box) -> Series:
+    """The certified restriction, with the floor entries pinned to the
+    stored minima so exports are byte-identical regardless of internal
+    build depth."""
+    ser = _certified(ser, box)
     floor = tuple(min((k[i] for k in ser.coeffs), default=0)
                   for i in range(ser.nvars))
     return Series(ser.nvars, ser.denoms, dict(ser.coeffs), ser.trunc, floor)

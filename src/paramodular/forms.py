@@ -340,24 +340,23 @@ _LOCK = threading.Lock()
 
 
 def catalog(name: str, qmax: int) -> JacobiExpansion:
-    """The named form, complete for q-numerators <= qmax (exponent n/24)."""
+    """The named form, complete for q-numerators <= qmax (exponent n/24) and
+    restricted to them, so what a caller gets never depends on what ran
+    before it.  The cache keeps the deepest build."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown catalog form {name!r}")
     with _LOCK:
-        got = _CACHE.get(name)
-        if got is not None and (got.qmax is None or got.qmax >= qmax):
-            return got
-    form = _BUILDERS[name](qmax)
-    if form.qmax is not None and form.qmax < qmax:
-        raise RuntimeError(f"catalog builder for {name!r} delivered q-depth "
-                           f"{form.qmax}, short of the requested {qmax}")
-    with _LOCK:
-        got = _CACHE.get(name)
-        if got is None or (got.qmax is not None and got.qmax < qmax):
-            _CACHE[name] = form
-        else:
-            form = got
-    return form
+        form = _CACHE.get(name)
+    if form is None or (form.qmax is not None and form.qmax < qmax):
+        form = _BUILDERS[name](qmax)
+        if form.qmax is not None and form.qmax < qmax:
+            raise RuntimeError(f"catalog builder for {name!r} delivered q-depth "
+                               f"{form.qmax}, short of the requested {qmax}")
+        with _LOCK:
+            got = _CACHE.get(name)
+            if got is None or (got.qmax is not None and got.qmax < qmax):
+                _CACHE[name] = form
+    return form if form.qmax == qmax else form.restricted(qmax)
 
 
 def clear_cache():
@@ -484,15 +483,17 @@ def _b_e6_1(qmax):
 def _b_phi_12_1(qmax):
     e4 = eisenstein(4, qmax)
     e6 = eisenstein(6, qmax)
-    val = (e4 * e4) * catalog("E4_1", qmax) - e6 * catalog("E6_1", qmax)
-    return val.scale_div(144).with_kind("cusp")
+    val = ((e4 * e4) * catalog("E4_1", qmax) - e6 * catalog("E6_1", qmax)).scale_div(144)
+    # the form is Delta phi_0_1 (rem3.6), so its series starts at q^1
+    ser = val.series
+    ser = Series(2, QR_DENOMS, ser.coeffs, ser.trunc, (24, ser.floor[1]))
+    return JacobiExpansion(ser, val.weight, val.index, val.char, "cusp")
 
 
 def _b_phi_3_1(qmax):
-    # the quotient's box ends 36 numerators below the operands': 18 for the
-    # divisor's lead q^(18/24), 18 more because the numerator's stated
-    # floor is q^0 while the divisor's is q^(18/24)
-    pad = qmax + 36
+    # the quotient's box ends 18 numerators below the operands', the
+    # divisor's lead q^(18/24); the numerator's floor q^1 lies above it
+    pad = qmax + 18
     return (catalog("phi_12_1", pad) / eta_power(18, pad)).with_kind("holomorphic")
 
 
@@ -522,13 +523,13 @@ def _b_phi_0_2_11(qmax):
 def _b_phi_0_3_6(qmax):
     from .hecke import t0
     p3 = catalog("phi_0_3", 4 * qmax + 96)
-    return (t0(p3, 2) - catalog("phi_0_3", qmax).scale(3)).with_kind("weak")
+    return (t0(p3, 2) - p3.scale(3)).with_kind("weak")
 
 
 def _b_phi_0_1_t02m2(qmax):
     from .hecke import t0
     p1 = catalog("phi_0_1", 4 * qmax + 96)
-    return (t0(p1, 2) - catalog("phi_0_1", qmax).scale(2)).with_kind("nearly-holomorphic")
+    return (t0(p1, 2) - p1.scale(2)).with_kind("nearly-holomorphic")
 
 
 def _b_psi_0_2(qmax):
@@ -552,11 +553,11 @@ def _b_psi_0_4(qmax):
     # (the quotient must have weight 0 to combine with the Hecke images)
     from .hecke import t0
     p1 = catalog("phi_0_1", 4 * qmax + 96)
-    part1 = (t0(p1, 2) + catalog("phi_0_1", qmax).scale(26)).rescale_z(2)
+    part1 = (t0(p1, 2) + p1.scale(26)).rescale_z(2)
     e4 = eisenstein(4, qmax + 96)
     part2 = (e4 * e4 * catalog("theta8", qmax + 96)) / catalog("delta_tau", qmax + 96)
     p4 = catalog("phi_0_4", 9 * qmax + 240)
-    part3 = (t0(p4, 3) + catalog("phi_0_4", qmax).scale(4)).scale(8)
+    part3 = (t0(p4, 3) + p4.scale(4)).scale(8)
     out = part1 - part2 - part3
     return out.with_kind("nearly-holomorphic")
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import hecke
 from .forms import catalog
-from .lift import SiegelExpansion, closed_form, exp_lift, lift_arith, lift_exp
+from .lift import closed_form, lift_arith, lift_exp, lift_exp_of
 from .qseries import (ExactDivisionError, InsufficientBoxError, Series,
                       exponent_map)
 from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2, ms_p, restrict_z,
@@ -32,11 +33,6 @@ def _memo(key, build):
     with _LOCK:
         _MEMO.setdefault(key, val)
     return val
-
-
-def clear_memo():
-    with _LOCK:
-        _MEMO.clear()
 
 
 def _closed(name, q, s):
@@ -136,21 +132,27 @@ def verify_all(qmax: int = 144, smax: int = 144, section: str | None = None):
 # ----------------------------------------------------------------------
 # builders
 
-def _jac(name, q):
-    return catalog(name, q).series
+def _index_division_depth(q, scale):
+    """Input q-numerator depth of an index-division image complete to q.
+    The step loses roughly sqrt-depth, so a short fixpoint fixes the input
+    paper depth; ``scale`` multiplies each iterate."""
+    n = q // 24
+    x = n
+    for _ in range(8):
+        x = scale * (n + (isqrt(16 * (x + 1) + 16) + 1) // 2 + 2)
+    return 24 * x
 
 
-def _pair_jacobi(builder):
-    def build(qmax, smax):
-        return builder(qmax)
-    return build
-
-
-def _row_series(rows):
-    """A q^0-row given as {l: coeff} frozen into a 2-variable series."""
-    coeffs = {(0, 2 * l): c for l, c in rows.items() if c}
-    return Series(2, (24, 2), coeffs, (0, None),
-                  (0, min((k[1] for k in coeffs), default=0)))
+def _quotient(numerator, divisor, q, s):
+    """numerator / divisor on the box (q, s), each built by ``(Q, S) ->
+    SiegelExpansion``.  The divisor is built at (q, s) and the numerator
+    one divisor lead deeper: ``Series.div`` reads the numerator at each
+    quotient key plus that lead."""
+    d = divisor(q, s)
+    lead = d.series.min_key()
+    if lead is None:
+        raise InsufficientBoxError(f"the divisor has no term in the box ({q}, {s})")
+    return siegel_div(numerator(q + lead[0], s + lead[2]), d).series.restricted((q, s))
 
 
 _EQ39_ROWS = {
@@ -302,25 +304,13 @@ def _build_registry() -> dict:
         lambda q, s: (hecke.t0(catalog("phi_0_4", 4 * q + 96), 2).series,
                       catalog("phi_0_1", q).rescale_z(2).series))
     def b_335(q, s):
-        # the index-division step loses roughly sqrt-depth; fix the input
-        # paper depth by a short fixpoint so the output box reaches q
-        from math import isqrt
-        n = q // 24
-        x = n
-        for _ in range(8):
-            x = 4 * (n + (isqrt(16 * (x + 1) + 16) + 1) // 2 + 2)
-        img = hecke.t_plus_1_4(catalog("phi_0_4", 24 * x))
+        img = hecke.t_plus_1_4(catalog("phi_0_4", _index_division_depth(q, 4)))
         return img.series, catalog("phi_0_1", q).scale(8).series
     add("eq3.35", "3", "index lowering from 4 to 1 gives 8 phi_0_1", "exact",
         b_335)
 
     def b_lambda_star(q, s):
-        from math import isqrt
-        n = q // 24
-        x = n
-        for _ in range(8):
-            x = n + (isqrt(16 * (x + 1) + 16) + 1) // 2 + 2
-        img = hecke.lambda_star(catalog("phi_0_4", 24 * x), 2)
+        img = hecke.lambda_star(catalog("phi_0_4", _index_division_depth(q, 1)), 2)
         return img.series, Series(2, (24, 2), {}, (img.qmax, None), (0, 0))
     add("lemma3.5-new", "3", "phi_0_4 is annihilated by the index division",
         "exact", b_lambda_star)
@@ -393,14 +383,14 @@ def _build_registry() -> dict:
                       _exp("phi_0_10", q, s).series))
 
     # --- section 3: symmetrisation and Hecke products -------------------
+    # every operand is built at the output box; the certified trunc of the
+    # result decides whether that was enough
     def b_ms(name, p, rhs_phi, m):
         def build(q, s):
-            F = _closed(name, q + 56, max(s + 56, p * p * (s // (p * p) + 3)))
-            left = ms_p(F, p, cap=(q, s)).series.restricted((q, s))
-            phi = hecke.t_minus_weight0(
-                catalog(rhs_phi, 24 * m * ((q // 24 + 2) * max(s // 48, 2) + 4)), m)
-            right = exp_lift(phi, q, s).series
-            return left, right
+            left = ms_p(_closed(name, q, s), p, cap=(q, s)).series
+            right = lift_exp_of(
+                lambda d: hecke.t_minus_weight0(catalog(rhs_phi, m * d), m), q, s)
+            return left, right.series
         return build
 
     add("eq3.20-sym", "3", "symmetrisation at 2 of the level-3 form",
@@ -413,45 +403,35 @@ def _build_registry() -> dict:
         "up-to-constant", b_ms("delta2", 3, "phi_0_2", 3), expected=1)
 
     def b_310(q, s):
-        d5 = _closed("delta5", q + 96, s + 96)
-        ms5 = ms_p(d5, 2, cap=(q + 26, s + 36))
-        d2sq = siegel_pow(_closed("delta2", q + 40, s + 40), 2)
-        quot = siegel_div(SiegelExpansion(ms5.series, 2, 10, ms5.char, "x"), d2sq)
-        return quot.series.restricted((q, s)), _arith("eta21_theta2z", 1, q, s).series
+        quot = _quotient(lambda Q, S: ms_p(_closed("delta5", Q, S), 2, cap=(Q, S)),
+                         lambda Q, S: siegel_pow(_closed("delta2", Q, S), 2), q, s)
+        return quot, _arith("eta21_theta2z", 1, q, s).series
     add("eq3.10-delta11-sym", "3", "level-2 quotient of the symmetrised weight-5 form",
         "up-to-constant", b_310, expected=1)
 
     def b_313(q, s):
-        d2f = _closed("delta2", q + 56, max(2 * s + 48, 4 * (s // 4 + 24)))
-        left = ms_p(d2f, 2, cap=(q, s)).series.restricted((q, s))
-        d5_4 = _closed("delta5", q, s // 4 + 24).series.substitute_linear(
+        left = ms_p(_closed("delta2", q, s), 2, cap=(q, s)).series
+        d5_4 = _closed("delta5", q, -(-s // 4)).series.substitute_linear(
             ((Fraction(1), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
         dh2 = _closed("delta_half", q, s).series.pow(2)
-        right = d5_4.mul(dh2, cap=(q, s)).restricted((q, s))
-        return left, right
+        return left, d5_4.mul(dh2, cap=(q, s))
     add("eq3.13-sym", "3", "symmetrised level-2 form against the theta-constant pair",
         "up-to-constant", b_313, expected=1)
 
     def b_322(q, s):
-        d5b = _closed("delta5", q + 120, 3 * (s // 3) + 320)
-        ms53 = ms_p(d5b, 3, cap=(q + 40, s + 72))
-        d1q = siegel_pow(_closed("delta1", q + 80, s + 100), 4)
-        quot = siegel_div(SiegelExpansion(ms53.series, 3, 20, ms53.char, "x"), d1q)
-        phi = (hecke.t_minus_weight0(catalog("phi_0_1", 24 * 3 * ((q // 24 + 2)
-                                                                  * max(s // 72, 2) + 6)), 3)
-               - catalog("phi_0_3", 24 * ((q // 24 + 2) * max(s // 72, 2) + 6)).scale(4))
-        right = exp_lift(phi, q, s).series
-        return quot.series.restricted((q, s)), right
+        quot = _quotient(lambda Q, S: ms_p(_closed("delta5", Q, S), 3, cap=(Q, S)),
+                         lambda Q, S: siegel_pow(_closed("delta1", Q, S), 4), q, s)
+        right = lift_exp_of(
+            lambda d: (hecke.t_minus_weight0(catalog("phi_0_1", 3 * d), 3)
+                       - catalog("phi_0_3", d).scale(4)), q, s)
+        return quot, right.series
     add("eq3.22-siegel", "3", "symmetrisation at 3 of the weight-5 form, reduced",
         "up-to-constant", b_322, expected=1)
 
     def b_331(q, s):
-        d5 = _closed("delta5", q + 96, s + 96)
-        hp = hecke_product_T2(d5, q + 96, s + 96)
-        d58 = siegel_pow(_closed("delta5", q + 16, s + 16), 8)
-        quot = siegel_div(SiegelExpansion(hp.series, 1, 75, hp.char, "x"), d58)
-        return (quot.series.restricted((q, s)),
-                _exp("phi_0_1_t02m2", q, s).series)
+        quot = _quotient(lambda Q, S: hecke_product_T2(_closed("delta5", Q, S), Q, S),
+                         lambda Q, S: siegel_pow(_closed("delta5", Q, S), 8), q, s)
+        return quot, _exp("phi_0_1_t02m2", q, s).series
     add("eq3.31-delta35", "3", "fifteen-coset product quotient vs product lift",
         "up-to-constant", b_331, expected=1)
 

@@ -221,27 +221,27 @@ def _case_t_1bar(t):
     def make(bound):
         lat = HypLattice(Fraction(t))
         roots = _materialize(lat, [(-1, 0, 1)], [(0, -1, 0), (1, 2, 0)], bound)
+        # all roots are even here: the odd subset is empty
         datum = RootDatum(
-            f"t{t}_1bar", lat, roots, set(range(len(roots))) - set(range(len(roots))),
-            (Fraction(1), Fraction(0), Fraction(0)),
+            f"t{t}_1bar", lat, roots, set(), (Fraction(1), Fraction(0), Fraction(0)),
             sym_gens=[(0, -1, 0), (1, 2, 0)], parabolic=True)
         # defining predicate: primitive, norm 8t, pairings divisible by 4t,
-        # (delta, rho) = -4t
+        # (delta, rho) = -4t.  With rho = (1, 0, 0) the pairing is -4t m, so
+        # m = 1, and norm 2 l^2 - 8t n = 8t gives n = (l^2 - 4t) / 4t; every
+        # such root with max|v| <= bound // 8 must be in the orbit
         from math import gcd
-        for v in _enumerate_box(lat, bound):
-            if gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2])) != 1:
-                continue
-            if lat.norm(v) != 8 * t or lat.pair(v, datum.rho) != -4 * t:
+        w = bound // 8
+        have = set(map(tuple, roots))
+        for l in range(-w, w + 1):
+            n, rem = divmod(l * l - 4 * t, 4 * t)
+            v = (n, l, 1)
+            if rem or abs(n) > w or gcd(*v) != 1:
                 continue
             pair_ideal = gcd(gcd(abs(int(lat.pair(v, (1, 0, 0)))),
                                  abs(int(lat.pair(v, (0, 1, 0))))),
                              abs(int(lat.pair(v, (0, 0, 1)))))
-            if pair_ideal % (4 * t):
-                continue
-            if tuple(v) not in set(map(tuple, roots)) and max(map(abs, v)) <= bound // 8:
+            if pair_ideal % (4 * t) == 0 and v not in have:
                 raise AssertionError(f"t{t}_1bar: predicate root {v} missing from orbit")
-        # all roots are even here: the odd subset is empty
-        datum.odd = set()
         return datum
     return make
 

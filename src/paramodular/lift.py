@@ -133,11 +133,17 @@ def lift_arith(name: str, mu: int = 1, qmax: int = 144, smax: int = 144) -> Sieg
 
 
 def lift_exp(name: str, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
-    """Exponential lifting of a registry form, requesting its own input depth.
-    The plan reads only the q^0 and negative-q rows, which a depth-96 probe
-    already shows."""
-    depth = _exp_plan(catalog(name, 96), qmax, smax).depth
-    return exp_lift(catalog(name, depth), qmax, smax)
+    """Exponential lifting of a registry form, requesting its own input depth."""
+    return lift_exp_of(lambda depth: catalog(name, depth), qmax, smax)
+
+
+def lift_exp_of(build, qmax: int, smax: int) -> SiegelExpansion:
+    """Exponential lifting of ``build(depth)``, a Jacobi expansion complete
+    to the q-numerator ``depth``, asking ``build`` for the depth the plan of
+    ``exp_lift`` needs.  The plan reads only the q^0 and negative-q rows,
+    which a depth-96 probe already shows."""
+    depth = _exp_plan(build(96), qmax, smax).depth
+    return exp_lift(build(depth), qmax, smax)
 
 
 # ----------------------------------------------------------------------

@@ -131,14 +131,6 @@ class Series:
         return s
 
     @classmethod
-    def zero(cls, nvars, denoms, trunc=None, floor=None):
-        if trunc is None:
-            trunc = (None,) * nvars
-        if floor is None:
-            floor = (0,) * nvars
-        return cls(nvars, denoms, {}, trunc, floor)
-
-    @classmethod
     def monomial(cls, nvars, denoms, key, coeff=1):
         key = tuple(key)
         return cls(nvars, denoms, ({key: coeff} if coeff else {}),
@@ -214,9 +206,6 @@ class Series:
                 return 0
             key.append(f.numerator)
         return self.coeffs.get(tuple(key), 0)
-
-    def exponents(self, key):
-        return tuple(Fraction(n, d) for n, d in zip(key, self.denoms))
 
     def min_key(self):
         """Lexicographically least key by (grade, key); None if no terms."""

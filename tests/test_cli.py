@@ -79,6 +79,12 @@ def _add_identity(monkeypatch, ident, exc):
                         identities.IdentityRecord(ident, "0", "raises", "exact", build))
 
 
+def test_verify_reports_a_box_below_the_divisor_lead():
+    from paramodular import identities
+    r = identities.verify("eq3.31-delta35", 6, 6)
+    assert r.status == "error" and "the divisor has no term in the box" in r.detail
+
+
 def test_verify_reports_box_shortfalls(monkeypatch, capsys):
     from paramodular.lift import InsufficientBoxError
     _add_identity(monkeypatch, "short-box", InsufficientBoxError("input too shallow"))
@@ -110,6 +116,54 @@ def test_export_trunc_is_the_certified_box(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "certified to numerator 52" in captured.err
+
+
+# the five Siegel requests of the benchmark and two asymmetric boxes
+SIEGEL_REQUESTS = [
+    "msym --form delta5 --p 2 --qmax 5 --smax 5",
+    "msym --form delta1 --p 2 --qmax 5 --smax 5",
+    "msym --form delta5 --p 3 --qmax 6 --smax 6",
+    "msym --form delta2 --p 3 --qmax 6 --smax 6",
+    "heckeprod --form delta5 --qmax 7 --smax 7",
+    "heckeprod --form delta5 --qmax 7 --smax 3",
+    "msym --form delta5 --p 2 --qmax 2 --smax 5",
+]
+
+
+def test_siegel_exports_certify_the_requested_box(monkeypatch, capsys):
+    from paramodular import cli, siegel
+    for request in SIEGEL_REQUESTS:
+        argv = request.split()
+        assert main(["siegel", *argv]) == 0, request
+        got = Series.from_json_dict(json.loads(capsys.readouterr().out))
+        q, s = 24 * int(argv[-3]), 24 * int(argv[-1])
+        assert got.trunc == (q, None, s), request
+        # the same product from an input built 48 numerators deeper
+        deep = cli._siegel_object(argv[2], q + 48, s + 48)
+        if argv[0] == "msym":
+            ref = siegel.ms_p(deep, int(argv[4]), cap=(q, s))
+        else:
+            ref = siegel.hecke_product_T2(deep, q, s)
+        assert got.coeffs == ref.series.restricted((q, s)).coeffs, request
+
+    real = cli._siegel_object
+    monkeypatch.setattr(cli, "_siegel_object",
+                        lambda name, q, s: real(name, q, s).restricted(q - 48, s))
+    assert main(["siegel", *SIEGEL_REQUESTS[0].split()]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certified to numerator 96 in variable 0, short of the requested 120" in captured.err
+
+
+def test_verify_boxes_do_not_depend_on_order(monkeypatch):
+    from paramodular import forms, identities
+    ids = sorted(identities.registry())
+    boxes = []
+    for order in (ids, ids[::-1]):
+        monkeypatch.setattr(forms, "_CACHE", {})
+        monkeypatch.setattr(identities, "_MEMO", {})
+        boxes.append({ident: identities.verify(ident, 48, 48).box for ident in order})
+    assert boxes[0] == boxes[1]
 
 
 def test_verify_section_filter(capsys):

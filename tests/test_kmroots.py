@@ -15,6 +15,15 @@ def test_all_cases_build_and_match_printed_tables():
         assert datum.check()
 
 
+def test_t_1bar_predicate_catches_a_missing_root(monkeypatch):
+    from paramodular import kmroots
+    real = kmroots._materialize
+    monkeypatch.setattr(kmroots, "_materialize",
+                        lambda *args: [v for v in real(*args) if v != (-1, 0, 1)])
+    with pytest.raises(AssertionError, match=r"predicate root \(-1, 0, 1\) missing"):
+        build_datum("t2_1bar")
+
+
 def test_gram_values_from_the_tables():
     d = build_datum("t2_I_odd")
     assert d.gram() == ((2, -4, 0), (-4, 8, -8), (0, -8, 16))
