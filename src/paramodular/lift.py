@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
-from .forms import JacobiExpansion, catalog, eta_power
+from .forms import JacobiExpansion, catalog
 from .qseries import InsufficientBoxError, Series
 
 QRS_DENOMS = (24, 2, 24)
@@ -157,13 +157,15 @@ def closed_form(name: str, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
 
 
 def _tau9_table(xmax8: int) -> dict:
-    """x -> coefficient of q^(x/8) in eta^9 (x = 3 mod 8)."""
-    e9 = eta_power(9, 3 * xmax8 + 3)
-    out = {}
-    for (n24, _l), c in e9.series.terms():
-        if n24 % 3 == 0:
-            out[n24 // 3] = c
-    return out
+    """x -> coefficient of q^(x/8) in eta^9 (x = 3 mod 8, x <= xmax8), as the
+    cube of Jacobi's eta^3 = sum (-1)^n (2n+1) q^((2n+1)^2/8)."""
+    terms = {}
+    n = 0
+    while (2 * n + 1) ** 2 <= xmax8:
+        terms[((2 * n + 1) ** 2,)] = (-1) ** n * (2 * n + 1)
+        n += 1
+    e3 = Series(1, (8,), terms, (xmax8,), (1,))
+    return {x: c for (x,), c in e3.pow(3).restricted((xmax8,)).terms()}
 
 
 def _cf_delta5(qmax, smax):

@@ -150,6 +150,24 @@ class Series:
         for k in drop:
             del self.coeffs[k]
 
+    def check(self) -> "Series":
+        """Raise AssertionError unless every key has ``nvars`` entries, no
+        coefficient is zero, the bounded floor is <= every key, every key
+        lies in the bounded trunc and r is untruncated; return self.  The
+        r-floor is not checked: a quotient's (numerator's less divisor's)
+        can lie above its keys, and nothing certified reads it."""
+        bv = bounded_vars(self.nvars)
+        if self.nvars > 1 and self.trunc[1] is not None:
+            raise AssertionError(f"r is truncated at {self.trunc[1]}")
+        for k, c in self.coeffs.items():
+            if len(k) != self.nvars or not c:
+                raise AssertionError(f"bad term {k}: {c}")
+            if any(k[v] < self.floor[v] for v in bv):
+                raise AssertionError(f"key {k} below the floor {self.floor}")
+            if any(self.trunc[v] is not None and k[v] > self.trunc[v] for v in bv):
+                raise AssertionError(f"key {k} outside the trunc {self.trunc}")
+        return self
+
     def rescaled(self, denoms) -> "Series":
         """Same object over coarser exponent denominators (must be multiples)."""
         denoms = tuple(denoms)
@@ -342,8 +360,7 @@ class Series:
         sa, sb = a._slices(), b._slices()
         if len(sb) < len(sa):
             sa, sb = sb, sa
-        nv = a.nvars
-        bq, bs = trunc[0], (trunc[2] if nv == 3 else None)
+        bq, bs = trunc[0], (trunc[2] if a.nvars == 3 else None)
         out_slices: dict = {}
         sa_items = sorted((k, sorted(p.items())) for k, p in sa.items())
         sb_items = sorted((k, sorted(p.items())) for k, p in sb.items())
@@ -358,26 +375,8 @@ class Series:
                 os = out_slices.get((ks0, ks1))
                 if os is None:
                     os = out_slices[(ks0, ks1)] = {}
-                get = os.get
-                if len(pa) > len(pb):
-                    pa2, pb2 = pb, pa
-                else:
-                    pa2, pb2 = pa, pb
-                # a slot that cancels to zero is deleted, so no zero is kept
-                for l1, c1 in pa2:
-                    for l2, c2 in pb2:
-                        ll = l1 + l2
-                        v = get(ll, 0) + c1 * c2
-                        if v:
-                            os[ll] = v
-                        elif ll in os:
-                            del os[ll]
-        if nv == 3:
-            coeffs = {(q, l, s): c for (q, s), os in out_slices.items() for l, c in os.items()}
-        elif nv == 2:
-            coeffs = {(q, l): c for (q, _), os in out_slices.items() for l, c in os.items()}
-        else:
-            coeffs = {(q,): c for (q, _), os in out_slices.items() for c in os.values()}
+                _mul_into(os, pa, pb)
+        coeffs = _unslice(a.nvars, out_slices)
         return Series(a.nvars, a.denoms, coeffs, tuple(trunc), floor)
 
     def __mul__(self, other):
@@ -393,39 +392,44 @@ class Series:
     # ------------------------------------------------------------------
     # exact division
 
-    def _grade(self, key) -> int:
-        if self.nvars == 3:
-            return key[0] * self.denoms[2] + key[2] * self.denoms[0]
-        return key[0]
-
     def div(self, other: "Series") -> "Series":
         """Exact quotient self/other; raises ExactDivisionError otherwise.
 
-        Works grade by grade (q-numerator for 1-2 variables, combined q+s
-        grade for 3), dividing each accumulated remainder slice by the
-        lowest-grade slice of the divisor.  The divisor's graded-least key
-        must be its per-variable corner (automatic with one or two
-        variables; for three variables the lowest slice must be a single
-        monomial sitting at (min q, min s)); this is what makes the
-        rectangular truncation bound of the quotient sound.  The result is
-        verified by multiplying back on its box.
+        Long division on whole slices (the ``(q, s) -> {r: c}`` groups of
+        :meth:`_slices`), popped in grade order: the q-numerator for 1-2
+        variables, the combined q+s grade for 3.  Each remainder slice is
+        divided by the divisor's lead slice, and the quotient slice times
+        every other divisor slice is subtracted from the remainder slice it
+        lands on, with the r-pair loop of :meth:`mul`.  The divisor's
+        graded-least key must be its per-variable corner (automatic with one
+        or two variables; for three variables the lowest-grade slice must be
+        the single slice at (min q, min s)); this is what makes the
+        rectangular truncation bound of the quotient sound.  Quotient slices
+        outside that box may rest on unknown data and are skipped without a
+        divisibility check.  The result is verified by multiplying back on
+        its box.
         """
         a, b = self._aligned(other)
         if not b.coeffs:
             raise ExactDivisionError("division by the zero series")
-        bv = bounded_vars(a.nvars)
+        nv = a.nvars
+        bv = bounded_vars(nv)
+        d0, d2 = a.denoms[0], a.denoms[-1]
+        grade = (lambda q, s: q * d2 + s * d0) if nv == 3 else (lambda q, s: q)
 
-        g0 = min(b._grade(k) for k in b.coeffs)
-        b0 = {k: c for k, c in b.coeffs.items() if b._grade(k) == g0}
-        brest = {k: c for k, c in b.coeffs.items() if b._grade(k) > g0}
-        lead = min(b0, key=b._order)
-        b_min = tuple(min(k[v] for k in b.coeffs) for v in range(a.nvars))
+        sb = b._slices()
+        b_min = (min(k[0] for k in sb), min(min(p) for p in sb.values()),
+                 min(k[1] for k in sb))[:nv]
+        g0 = min(grade(*k) for k in sb)
+        lq, ls = min(k for k in sb if grade(*k) == g0)
+        rb = sb.pop((lq, ls))
+        lead = (lq, min(rb), ls)[:nv]
         for v in bv:
             if lead[v] != b_min[v]:
                 raise ExactDivisionError(
                     "divisor's lowest-grade slice is not anchored at its exponent "
                     "corner; this quotient shape is unsupported")
-        if a.nvars == 3 and any(k[0] != lead[0] or k[2] != lead[2] for k in b0):
+        if nv == 3 and any(grade(*k) == g0 for k in sb):
             raise ExactDivisionError(
                 "three-variable division needs the divisor's leading slice on a "
                 "single (q, s) pair")
@@ -434,7 +438,7 @@ class Series:
         # emission at key k consumes a at k+lead and divisor keys up to
         # (k+lead) - floor_c, bounding both reads inside the known boxes
         trunc = []
-        for v in range(a.nvars):
+        for v in range(nv):
             if v not in bv:
                 trunc.append(None)
                 continue
@@ -443,60 +447,40 @@ class Series:
                 cands.append(a.trunc[v] - lead[v])
             if b.trunc[v] is not None:
                 cands.append(b.trunc[v] - lead[v] + floor[v])
-            if not cands:
-                trunc.append(None)
-            else:
-                trunc.append(min(cands))
+            trunc.append(min(cands) if cands else None)
         if all(trunc[v] is None for v in bv):
             raise ExactDivisionError("cannot divide: no finite truncation on either operand")
 
         # largest quotient grade that certified emissions can reach
-        def _qcap(v):
-            if trunc[v] is not None:
-                return trunc[v]
-            top = max((k[v] for k in a.coeffs), default=floor[v])
-            return max(top, floor[v])
+        sa = a._slices()
+        cap = [trunc[v] if trunc[v] is not None
+               else max([floor[v]] + [k[i] for k in sa]) for i, v in enumerate(bv)]
+        read_bound = grade(cap[0], cap[-1]) + g0
 
-        if a.nvars == 3:
-            d0, d2 = a.denoms[0], a.denoms[2]
-            quot_grade_cap = _qcap(0) * d2 + _qcap(2) * d0
-        else:
-            quot_grade_cap = _qcap(0)
-        read_bound = quot_grade_cap + g0
-
-        rem = {}
-        for k, c in a.coeffs.items():
-            rem.setdefault(a._grade(k), {})[k] = c
+        rem: dict = {}
+        for k, p in sa.items():
+            rem.setdefault(grade(*k), {})[k] = p
+        brest = sorted((grade(*k), k, sorted(p.items())) for k, p in sb.items())
+        tq, ts = trunc[0], (trunc[2] if nv == 3 else None)
         out = {}
-        in_box = lambda k: all(trunc[v] is None or k[v] <= trunc[v] for v in bv)
-        gi = min(rem) if rem else read_bound + 1
-        while gi <= read_bound:
-            rg = rem.pop(gi, None)
-            gi += 1
-            if not rg:
-                continue
-            if a.nvars <= 2:
-                qg = _divide_poly_slice(rg, b0, a.nvars)
-                emit = qg.items()
-            else:
-                emit = _divide_rslice_3var(rg, b0, lead, in_box)
-            for k, c in emit:
-                if not in_box(k):
+        for g in range(min(rem, default=read_bound + 1), read_bound + 1):
+            for (q, s), ra in sorted(rem.pop(g, {}).items()):
+                kq, ks = q - lq, s - ls
+                if not ra or (tq is not None and kq > tq) or (ts is not None and ks > ts):
                     continue
-                out[k] = c
-                for kb, cb in brest.items():
-                    kk = tuple(x + y for x, y in zip(k, kb))
-                    gg = a._grade(kk)
+                qs = out[(kq, ks)] = _divide_poly_slice(ra, rb)
+                neg = [(l, -c) for l, c in qs.items()]
+                for gb, (bq, bs), pb in brest:
+                    gg = g - g0 + gb
                     if gg > read_bound:
-                        continue
+                        break
                     sl = rem.setdefault(gg, {})
-                    v = sl.get(kk, 0) - c * cb
-                    if v:
-                        sl[kk] = v
-                    elif kk in sl:
-                        del sl[kk]
+                    os = sl.get((kq + bq, ks + bs))
+                    if os is None:
+                        os = sl[(kq + bq, ks + bs)] = {}
+                    _mul_into(os, neg, pb)
 
-        q = Series(a.nvars, a.denoms, out, tuple(trunc), floor)
+        q = Series(nv, a.denoms, _unslice(nv, out), tuple(trunc), floor)
         q._drop_overflow()
         # tripwire: verify q*b == a on the certified box
         check = q.mul(b)
@@ -689,55 +673,49 @@ def _coeff_div(c, d):
     raise ExactDivisionError("cyclotomic coefficients divide only by unit leads")
 
 
-def _divide_poly_slice(rg: dict, b0: dict, nvars: int) -> dict:
-    """Exact division of a complete q-slice by the divisor's lowest q-slice.
+def _mul_into(out: dict, pa, pb):
+    """Add the product of two r-polynomials, given as (r, c) pair lists,
+    into the slice ``out`` (r -> c).  A slot that cancels to zero is
+    deleted, so no zero is kept."""
+    if len(pa) > len(pb):
+        pa, pb = pb, pa
+    get = out.get
+    for l1, c1 in pa:
+        for l2, c2 in pb:
+            ll = l1 + l2
+            v = get(ll, 0) + c1 * c2
+            if v:
+                out[ll] = v
+            elif ll in out:
+                del out[ll]
 
-    For one variable both slices are single scalars; for two they are
-    Laurent polynomials in r, divided top-down so termination is
-    unconditional and a nonzero remainder is always detected.
+
+def _unslice(nvars: int, slices: dict) -> dict:
+    """Coefficient dict of slices (q, s) -> {r: c}; inverse of _slices."""
+    if nvars == 3:
+        return {(q, l, s): c for (q, s), p in slices.items() for l, c in p.items()}
+    if nvars == 2:
+        return {(q, l): c for (q, _), p in slices.items() for l, c in p.items()}
+    return {(q,): c for (q, _), p in slices.items() for c in p.values()}
+
+
+def _divide_poly_slice(ra: dict, rb: dict) -> dict:
+    """Exact division of a complete remainder slice by the divisor's lead
+    slice, both r -> c (one term at r = 0 for one variable).
+
+    The slices are Laurent polynomials in r, divided top-down so termination
+    is unconditional and a nonzero remainder is always detected.  ``ra`` is
+    consumed.
     """
-    if nvars == 1:
-        (ka, ca), = rg.items()
-        (kb, cb), = b0.items()
-        return {(ka[0] - kb[0],): _coeff_div(ca, cb)}
-    ra = {k[1]: c for k, c in rg.items()}
-    rb = {k[1]: c for k, c in b0.items()}
-    qa = next(iter(rg))[0]
-    qb = next(iter(b0))[0]
-    top_b = max(rb)
+    top_b, low_b = max(rb), min(rb)
     cb = rb[top_b]
+    pb = list(rb.items())
     out = {}
     while ra:
         top_a = max(ra)
         l = top_a - top_b
-        if min(ra) - min(rb) > l:
+        if min(ra) - low_b > l:
             raise ExactDivisionError("nonzero remainder in r-slice division")
-        c = _coeff_div(ra[top_a], cb)
-        out[(qa - qb, l)] = c
-        for lb, vb in rb.items():
-            ll = l + lb
-            v = ra.get(ll, 0) - c * vb
-            if v:
-                ra[ll] = v
-            elif ll in ra:
-                del ra[ll]
+        c = out[l] = _coeff_div(ra[top_a], cb)
+        _mul_into(ra, [(l, -c)], pb)
     return out
-
-
-def _divide_rslice_3var(rg: dict, b0: dict, lead, in_box):
-    """Division of a (possibly incomplete) three-variable grade slice by a
-    divisor slice supported on a single (q, s) pair.  The remainder slice is
-    grouped by (q, s); groups whose quotient key leaves the certified box
-    may rest on unknown data and are skipped without a divisibility check."""
-    qb, sb = lead[0], lead[2]
-    groups: dict = {}
-    for k, c in rg.items():
-        groups.setdefault((k[0], k[2]), {})[(0, k[1])] = c
-    rb = {(0, k[1]): c for k, c in b0.items()}
-    for (qg, sg), poly in sorted(groups.items()):
-        probe = (qg - qb, 0, sg - sb)
-        if not in_box(probe):
-            continue
-        qpoly = _divide_poly_slice(poly, rb, 2)
-        for (_z, l), c in qpoly.items():
-            yield (qg - qb, l, sg - sb), c

@@ -65,8 +65,9 @@ def test_ms2_delta5_over_delta2_squared_is_delta11():
     d5 = closed_form("delta5", 240, 240)
     ms5 = ms_p(d5, 2, cap=(170, 180))
     d2sq = siegel_pow(closed_form("delta2", 200, 200), 2)
-    quot = siegel_div(SiegelExpansion(ms5.series, 2, 10, ms5.char, "x"), d2sq)
+    quot = siegel_div(ms5, d2sq)
     d11 = lift_arith("eta21_theta2z", 1, B, B)
+    assert (quot.weight, quot.level) == (11, 2) == (d11.weight, d11.level)
     assert quot.series.first_mismatch(d11.series) is None
 
 
@@ -83,7 +84,8 @@ def test_hecke_product_T2_route_for_delta35():
     hp = hecke_product_T2(d5, 240, 240)
     assert hp.series.is_rational()
     d58 = siegel_pow(closed_form("delta5", 160, 160), 8)
-    quot = siegel_div(SiegelExpansion(hp.series, 1, 75, hp.char, "x"), d58)
+    quot = siegel_div(hp, d58)
+    assert quot.weight == 35
     d35 = exp_lift(catalog("phi_0_1_t02m2", 24 * 78), B, B)
     assert quot.series.first_mismatch(d35.series) is None
     assert quot.series.get((72, 2, 48)) == 1
