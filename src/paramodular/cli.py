@@ -62,17 +62,15 @@ def _siegel_object(name: str, qmax: int, smax: int):
 
 
 def cmd_form(args) -> int:
-    f = forms.catalog(args.name, 24 * args.qmax)
-    _emit(f.series.restricted((24 * args.qmax,)), args)
+    q = 24 * args.qmax
+    _emit(_canonical(forms.catalog(args.name, q).series, (q,)), args)
     return EXIT_OK
 
 
 def cmd_hecke(args) -> int:
-    desc = hecke.HeckeDescriptor.parse(args.op)
-    depth = 24 * args.qmax * max(desc.param, 1) ** 2 + 192
-    phi = forms.catalog(args.form, depth)
-    out = desc.apply(phi)
-    _emit(out.series.restricted((24 * args.qmax,)), args)
+    q = 24 * args.qmax
+    out = hecke.HeckeDescriptor.parse(args.op).image(args.form, q)
+    _emit(_canonical(out.series, (q,)), args)
     return EXIT_OK
 
 

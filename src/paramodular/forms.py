@@ -364,10 +364,6 @@ def clear_cache():
         _CACHE.clear()
 
 
-def _b_eta(d):
-    return lambda qmax: eta_power(d, qmax)
-
-
 def _b_theta(qmax):
     return theta_series(qmax)
 
@@ -514,22 +510,26 @@ def _b_theta8(qmax):
     return catalog("theta", qmax).pow(8).with_kind("cusp")
 
 
+def hecke_image(op: str, name: str, qmax: int) -> JacobiExpansion:
+    """The Hecke image ``op`` (a descriptor such as ``t0:2``) of the catalog
+    form ``name`` on q-numerators <= qmax."""
+    from .hecke import HeckeDescriptor
+    return HeckeDescriptor.parse(op).image(name, qmax)
+
+
 def _b_phi_0_2_11(qmax):
-    from .hecke import t_minus_weight0
-    p1 = catalog("phi_0_1", 2 * qmax)
-    return (t_minus_weight0(p1, 2) - catalog("phi_0_2", qmax).scale(2)).with_kind("weak")
+    return (hecke_image("tminus:2", "phi_0_1", qmax)
+            - catalog("phi_0_2", qmax).scale(2)).with_kind("weak")
 
 
 def _b_phi_0_3_6(qmax):
-    from .hecke import t0
-    p3 = catalog("phi_0_3", 4 * qmax + 96)
-    return (t0(p3, 2) - p3.scale(3)).with_kind("weak")
+    return (hecke_image("t0:2", "phi_0_3", qmax)
+            - catalog("phi_0_3", qmax).scale(3)).with_kind("weak")
 
 
 def _b_phi_0_1_t02m2(qmax):
-    from .hecke import t0
-    p1 = catalog("phi_0_1", 4 * qmax + 96)
-    return (t0(p1, 2) - p1.scale(2)).with_kind("nearly-holomorphic")
+    return (hecke_image("t0:2", "phi_0_1", qmax)
+            - catalog("phi_0_1", qmax).scale(2)).with_kind("nearly-holomorphic")
 
 
 def _b_psi_0_2(qmax):
@@ -551,13 +551,12 @@ def _b_psi_0_3(qmax):
 def _b_psi_0_4(qmax):
     # the weight-8 Eisenstein factor E4^2 is forced by weight bookkeeping
     # (the quotient must have weight 0 to combine with the Hecke images)
-    from .hecke import t0
-    p1 = catalog("phi_0_1", 4 * qmax + 96)
-    part1 = (t0(p1, 2) + p1.scale(26)).rescale_z(2)
+    part1 = (hecke_image("t0:2", "phi_0_1", qmax)
+             + catalog("phi_0_1", qmax).scale(26)).rescale_z(2)
     e4 = eisenstein(4, qmax + 96)
     part2 = (e4 * e4 * catalog("theta8", qmax + 96)) / catalog("delta_tau", qmax + 96)
-    p4 = catalog("phi_0_4", 9 * qmax + 240)
-    part3 = (t0(p4, 3) + p4.scale(4)).scale(8)
+    part3 = (hecke_image("t0:3", "phi_0_4", qmax)
+             + catalog("phi_0_4", qmax).scale(4)).scale(8)
     out = part1 - part2 - part3
     return out.with_kind("nearly-holomorphic")
 

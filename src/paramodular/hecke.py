@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
 from .cyclotomic import Cyc
-from .forms import QR_DENOMS, JacobiExpansion
+from .forms import QR_DENOMS, JacobiExpansion, catalog
 from .qseries import InsufficientBoxError, Series
 
 
@@ -24,6 +24,14 @@ def lambda_op(phi: JacobiExpansion, n: int) -> JacobiExpansion:
     if n < 1:
         raise ValueError("lambda operator wants n >= 1")
     return phi.rescale_z(n)
+
+
+def _image_series(coeffs: dict, tout: int, fq: int) -> Series:
+    """An operator image complete to the q-numerator ``tout``, from its
+    accumulated coefficients; ``fq`` bounds its q-exponents from below."""
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    return Series(2, QR_DENOMS, coeffs, (tout, None),
+                  (fq, min((k[1] for k in coeffs), default=0)))
 
 
 def _paper_terms(phi: JacobiExpansion):
@@ -53,17 +61,11 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
             key = (24 * (n * a * a // m), 2 * l * a)
             if key[0] > tout:
                 continue
-            v = coeffs.get(key, 0) + (m // a) * c
-            if v:
-                coeffs[key] = v
-            elif key in coeffs:
-                del coeffs[key]
+            coeffs[key] = coeffs.get(key, 0) + (m // a) * c
     fq = min(Fraction(phi.series.floor[0] * a * a, m).__floor__()
              for a in divisors(m))
-    ser = Series(2, QR_DENOMS, coeffs, (tout, None),
-                 (fq, min((k[1] for k in coeffs), default=0)))
-    ser._drop_overflow()
-    return JacobiExpansion(ser, 0, phi.index * m, phi.char, phi.kind)
+    return JacobiExpansion(_image_series(coeffs, tout, fq), 0, phi.index * m,
+                           phi.char, phi.kind)
 
 
 def t_minus_char(phi: JacobiExpansion, m: int, Q: int | None = None,
@@ -96,21 +98,13 @@ def t_minus_char(phi: JacobiExpansion, m: int, Q: int | None = None,
             key = (n24 * a // d, l2 * a)
             if key[0] > tout:
                 continue
-            w = a ** (k - 1) * v_eta_sigma(a, D) * c
-            v = coeffs.get(key, 0) + w
-            if v:
-                coeffs[key] = v
-            elif key in coeffs:
-                del coeffs[key]
+            coeffs[key] = coeffs.get(key, 0) + a ** (k - 1) * v_eta_sigma(a, D) * c
     Dout = phi.char.D
     if Q > 2 and m % Q == Q - 1:
         Dout = -Dout  # conjugated character for m = -1 mod Q
     fq = min(Fraction(phi.series.floor[0] * a, m // a).__floor__()
              for a in divisors(m))
-    ser = Series(2, QR_DENOMS, coeffs, (tout, None),
-                 (fq, min((kk[1] for kk in coeffs), default=0)))
-    ser._drop_overflow()
-    return JacobiExpansion(ser, phi.weight, phi.index * m,
+    return JacobiExpansion(_image_series(coeffs, tout, fq), phi.weight, phi.index * m,
                            CharacterTag(Dout, phi.char.eps), phi.kind)
 
 
@@ -145,6 +139,16 @@ def _weak_l_bound(t: int, n: int) -> int:
     return isqrt(v) + 1 if v >= 0 else 0
 
 
+def _t0_sound(t: int, p: int, n: int) -> bool:
+    """Whether an index-t input complete to q^n keeps the shift branch of
+    ``t0`` sound: no unseen term (past n) lands inside the output box
+    n // p^2.  Their landing exponent grows like p^2 n, so the first unseen
+    row decides."""
+    n1 = n + 1
+    return (p * p * n1 - (p - 1) * p * _weak_l_bound(t, n1) > n // (p * p) and
+            4 * t * n1 > (2 * t * (p - 1)) ** 2 // (p * p))
+
+
 def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     """Index-preserving operator at weight 0; Fourier coefficients
     g_p(n,l) = p^3 g(p^2 n, p l) + G_p(n,l,t) g(n,l)
@@ -156,12 +160,7 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     t = phi.index.numerator
     qmax_paper = phi.qmax // 24
     tout = qmax_paper // (p * p)
-    # unseen input terms (n > qmax) must not land inside the output box
-    # via the shift branch: their landing exponent grows like p^2 n
-    n1 = qmax_paper + 1
-    lmax = _weak_l_bound(t, n1)
-    if not (p * p * n1 - (p - 1) * p * lmax > tout and
-            4 * t * n1 > (2 * t * (p - 1)) ** 2 // (p * p)):
+    if not _t0_sound(t, p, qmax_paper):
         raise InsufficientBoxError("input truncation too small for a sound shift branch")
     coeffs = {}
 
@@ -169,11 +168,7 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
         if n > tout:
             return
         key = (24 * n, 2 * l)
-        v = coeffs.get(key, 0) + c
-        if v:
-            coeffs[key] = v
-        elif key in coeffs:
-            del coeffs[key]
+        coeffs[key] = coeffs.get(key, 0) + c
 
     for (n, l), c in _paper_terms(phi):
         if n % (p * p) == 0 and l % p == 0:
@@ -187,12 +182,8 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     f0 = phi.series.floor[0]
     fq = 24 * min(f0 // (24 * p * p) if f0 >= 0 else -((-f0) // 24), f0 // 24,
                   Fraction(-p * p * t, 4).__floor__())
-    kind = phi.kind
-    if any(k[0] < 0 for k in coeffs):
-        kind = "nearly-holomorphic"
-    ser = Series(2, QR_DENOMS, coeffs, (24 * tout, None),
-                 (fq, min((k[1] for k in coeffs), default=0)))
-    ser._drop_overflow()
+    ser = _image_series(coeffs, 24 * tout, fq)
+    kind = "nearly-holomorphic" if any(k[0] < 0 for k in ser.coeffs) else phi.kind
     return JacobiExpansion(ser, 0, phi.index, phi.char, kind)
 
 
@@ -222,9 +213,8 @@ def t0_norm_formula(phi: JacobiExpansion, p: int) -> JacobiExpansion:
                 val += g(N // (p * p))
             if val:
                 coeffs[(24 * n, 2 * l)] = val
-    ser = Series(2, QR_DENOMS, coeffs, (24 * tout, None),
-                 (24 * nmin, min((k[1] for k in coeffs), default=0)))
-    return JacobiExpansion(ser, 0, phi.index, phi.char, phi.kind)
+    return JacobiExpansion(_image_series(coeffs, 24 * tout, 24 * nmin), 0, phi.index,
+                           phi.char, phi.kind)
 
 
 def _norm_lookup(nm: dict, t: int, N: int, qmax_paper: int):
@@ -269,9 +259,14 @@ def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
                 if val.denominator != 1:
                     raise ArithmeticError(f"non-integral image coefficient {val}")
                 coeffs[(24 * n, 2 * l)] = val.numerator
-    ser = Series(2, QR_DENOMS, coeffs, (24 * tout, None),
-                 (0, min((k[1] for k in coeffs), default=0)))
-    return JacobiExpansion(ser, 0, Fraction(1), phi.char, phi.kind)
+    return JacobiExpansion(_image_series(coeffs, 24 * tout, 0), 0, Fraction(1),
+                           phi.char, phi.kind)
+
+
+def _shift_down(t: int, p: int, n: int) -> int:
+    """How many q-rows below its index-t input's depth n the image of
+    ``lambda_star`` at p stops being complete."""
+    return (p - 1) * _weak_l_bound(t, n + 1) // p + 1
 
 
 def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
@@ -287,9 +282,7 @@ def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     tnum = t.numerator  # t integral in all supported uses
     if t.denominator != 1:
         raise ValueError("integral index required")
-    lmax1 = _weak_l_bound(tnum, qmax_paper + 1)
-    shift_down = (p - 1) * lmax1 // p + 1
-    tout = qmax_paper - shift_down
+    tout = qmax_paper - _shift_down(tnum, p, qmax_paper)
     if tout < 0:
         raise InsufficientBoxError("input truncation too small")
     coeffs = {}
@@ -307,15 +300,8 @@ def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
             if key24.numerator > 24 * tout:
                 continue
             key = (key24.numerator, key2.numerator)
-            v = coeffs.get(key, 0) + p ** 3 * c
-            if v:
-                coeffs[key] = v
-            elif key in coeffs:
-                del coeffs[key]
-    ser = Series(2, QR_DENOMS, coeffs, (24 * tout, None),
-                 (min(phi.series.floor[0], 0),
-                  min((k[1] for k in coeffs), default=0)))
-    ser._drop_overflow()
+            coeffs[key] = coeffs.get(key, 0) + p ** 3 * c
+    ser = _image_series(coeffs, 24 * tout, min(phi.series.floor[0], 0))
     return JacobiExpansion(ser, 0, tstar, phi.char, phi.kind)
 
 
@@ -340,16 +326,57 @@ _OPERATORS = {
 }
 
 
+def _t0_depth(t: int, p: int, qmax: int) -> int:
+    if t < 1:
+        raise ValueError("the index-preserving operator needs a positive index")
+    n = p * p * -(-qmax // 24)
+    while not _t0_sound(t, p, n):
+        n += 1
+    return 24 * n
+
+
+def _lambda_star_depth(t: int, p: int, qmax: int) -> int:
+    n = rows = -(-qmax // 24)
+    while n - _shift_down(t, p, n) < rows:
+        n += 1
+    return 24 * n
+
+
+# kind -> (input index numerator, param, qmax) -> the least input q-numerator
+# depth whose image each operator certifies to qmax
+_DEPTHS = {
+    "lambda": lambda t, n, qmax: qmax,
+    "tminus": lambda t, m, qmax: m * qmax,
+    "tminuschar": lambda t, m, qmax: m * qmax,
+    "t0": _t0_depth,
+    "tplus2": lambda t, _, qmax: 48 * -(-qmax // 24),
+    "tplus14": lambda t, _, qmax: _t0_depth(t, 2, _lambda_star_depth(t, 2, qmax)),
+    "lambdastar": _lambda_star_depth,
+}
+
+
 @dataclass(frozen=True)
 class HeckeDescriptor:
     kind: str          # lambda | tminus | tminuschar | t0 | tplus2 | tplus14 | lambdastar
     param: int = 1
 
-    def apply(self, phi: JacobiExpansion) -> JacobiExpansion:
-        op = _OPERATORS.get(self.kind)
-        if op is None:
+    def __post_init__(self):
+        if self.kind not in _OPERATORS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        return op(phi, self.param)
+
+    def apply(self, phi: JacobiExpansion) -> JacobiExpansion:
+        return _OPERATORS[self.kind](phi, self.param)
+
+    def image(self, name: str, qmax: int) -> JacobiExpansion:
+        """The image of the catalog form ``name`` on q-numerators <= qmax,
+        from the least input depth the operator certifies that box from.
+        A depth-24 build supplies the index that the depth rule reads."""
+        depth = _DEPTHS[self.kind](catalog(name, 24).index.numerator, self.param, qmax)
+        out = self.apply(catalog(name, depth))
+        if out.qmax < qmax:
+            raise InsufficientBoxError(f"{self.kind} image certified to q-numerator "
+                                       f"{out.qmax}, short of the requested {qmax}")
+        return out.restricted(qmax)
 
     @classmethod
     def parse(cls, text: str) -> "HeckeDescriptor":

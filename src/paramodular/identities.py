@@ -11,10 +11,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-
 from . import hecke
-from .forms import catalog
+from .forms import catalog, hecke_image
 from .lift import closed_form, lift_arith, lift_exp, lift_exp_of
 from .qseries import (ExactDivisionError, InsufficientBoxError, Series,
                       exponent_map)
@@ -132,17 +130,6 @@ def verify_all(qmax: int = 144, smax: int = 144, section: str | None = None):
 # ----------------------------------------------------------------------
 # builders
 
-def _index_division_depth(q, scale):
-    """Input q-numerator depth of an index-division image complete to q.
-    The step loses roughly sqrt-depth, so a short fixpoint fixes the input
-    paper depth; ``scale`` multiplies each iterate."""
-    n = q // 24
-    x = n
-    for _ in range(8):
-        x = scale * (n + (isqrt(16 * (x + 1) + 16) + 1) // 2 + 2)
-    return 24 * x
-
-
 def _quotient(numerator, divisor, q, s):
     """numerator / divisor on the box (q, s), each built by ``(Q, S) ->
     SiegelExpansion``.  The divisor is built at (q, s) and the numerator
@@ -243,7 +230,7 @@ def _build_registry() -> dict:
                                  scale=2).series.restricted((q,))))
     add("ex1.15", "1", "index-raising image of eta^5 theta(2z) at 2",
         "up-to-constant",
-        lambda q, s: (hecke.t_minus_char(catalog("eta5_theta2z", 2 * q + 48), 2).series,
+        lambda q, s: (hecke_image("tminuschar:2", "eta5_theta2z", q).series,
                       (eta_power(1, q + 24) * theta_series(q + 24).pow(4)
                        * theta_series(q + 24, 2)).series.restricted((q,))),
         expected=-1)
@@ -279,41 +266,37 @@ def _build_registry() -> dict:
         _build_eq39, fixed_box=True)
     add("eq3.14", "3", "T-(2) image minus 2 phi_0_2 equals phi_0_1^2 - 20 phi_0_2",
         "exact",
-        lambda q, s: ((hecke.t_minus_weight0(catalog("phi_0_1", 2 * q), 2)
+        lambda q, s: ((hecke_image("tminus:2", "phi_0_1", q)
                        - catalog("phi_0_2", q).scale(2)).series,
                       (catalog("phi_0_1", q).pow(2)
                        - catalog("phi_0_2", q).scale(20)).series))
     add("eq3.15", "3", "T-(2) image of phi_0_2", "exact",
-        lambda q, s: (hecke.t_minus_weight0(catalog("phi_0_2", 2 * q), 2).series,
+        lambda q, s: (hecke_image("tminus:2", "phi_0_2", q).series,
                       (catalog("phi_0_1", q).rescale_z(2)
                        + catalog("phi_0_4", q).scale(2)).series))
     add("eq3.16", "3", "index-lowering of phi_0_2 is 4 phi_0_1", "exact",
-        lambda q, s: (hecke.t_plus_2(catalog("phi_0_2", 2 * q)).series,
+        lambda q, s: (hecke_image("tplus2", "phi_0_2", q).series,
                       catalog("phi_0_1", q).scale(4).series))
     add("eq3.33", "3", "index-preserving image of phi_0_2 is twice eq3.14",
         "exact",
-        lambda q, s: (hecke.t0(catalog("phi_0_2", 4 * q + 96), 2).series,
-                      (hecke.t_minus_weight0(catalog("phi_0_1", 2 * q), 2)
+        lambda q, s: (hecke_image("t0:2", "phi_0_2", q).series,
+                      (hecke_image("tminus:2", "phi_0_1", q)
                        - catalog("phi_0_2", q).scale(2)).scale(2).series))
     add("eq3.22-jacobi", "3", "index-preserving at 3 on phi_0_3", "exact",
-        lambda q, s: (hecke.t0(catalog("phi_0_3", 9 * q + 240), 3).series,
-                      (hecke.t_minus_weight0(catalog("phi_0_1", 3 * q), 3).scale(2)
+        lambda q, s: (hecke_image("t0:3", "phi_0_3", q).series,
+                      (hecke_image("tminus:3", "phi_0_1", q).scale(2)
                        - catalog("phi_0_3", q).scale(6)).series))
     add("eq3.34", "3", "index-preserving at 2 on phi_0_4 gives phi_0_1(2z)",
         "exact",
-        lambda q, s: (hecke.t0(catalog("phi_0_4", 4 * q + 96), 2).series,
+        lambda q, s: (hecke_image("t0:2", "phi_0_4", q).series,
                       catalog("phi_0_1", q).rescale_z(2).series))
-    def b_335(q, s):
-        img = hecke.t_plus_1_4(catalog("phi_0_4", _index_division_depth(q, 4)))
-        return img.series, catalog("phi_0_1", q).scale(8).series
     add("eq3.35", "3", "index lowering from 4 to 1 gives 8 phi_0_1", "exact",
-        b_335)
-
-    def b_lambda_star(q, s):
-        img = hecke.lambda_star(catalog("phi_0_4", _index_division_depth(q, 1)), 2)
-        return img.series, Series(2, (24, 2), {}, (img.qmax, None), (0, 0))
+        lambda q, s: (hecke_image("tplus14", "phi_0_4", q).series,
+                      catalog("phi_0_1", q).scale(8).series))
     add("lemma3.5-new", "3", "phi_0_4 is annihilated by the index division",
-        "exact", b_lambda_star)
+        "exact",
+        lambda q, s: (hecke_image("lambdastar:2", "phi_0_4", q).series,
+                      Series(2, (24, 2), {}, (q, None), (0, 0))))
 
     # --- section 2/4: sum = product identities --------------------------
     add("eq2.16-delta5-arith", "2", "weight-5 form: closed sum vs divisor-sum lift",
@@ -388,8 +371,7 @@ def _build_registry() -> dict:
     def b_ms(name, p, rhs_phi, m):
         def build(q, s):
             left = ms_p(_closed(name, q, s), p, cap=(q, s)).series
-            right = lift_exp_of(
-                lambda d: hecke.t_minus_weight0(catalog(rhs_phi, m * d), m), q, s)
+            right = lift_exp_of(lambda d: hecke_image(f"tminus:{m}", rhs_phi, d), q, s)
             return left, right.series
         return build
 
@@ -422,7 +404,7 @@ def _build_registry() -> dict:
         quot = _quotient(lambda Q, S: ms_p(_closed("delta5", Q, S), 3, cap=(Q, S)),
                          lambda Q, S: siegel_pow(_closed("delta1", Q, S), 4), q, s)
         right = lift_exp_of(
-            lambda d: (hecke.t_minus_weight0(catalog("phi_0_1", 3 * d), 3)
+            lambda d: (hecke_image("tminus:3", "phi_0_1", d)
                        - catalog("phi_0_3", d).scale(4)), q, s)
         return quot, right.series
     add("eq3.22-siegel", "3", "symmetrisation at 3 of the weight-5 form, reduced",

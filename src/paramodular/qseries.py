@@ -144,11 +144,11 @@ class Series:
     # bookkeeping helpers
 
     def _drop_overflow(self):
-        bv = bounded_vars(self.nvars)
-        drop = [k for k in self.coeffs
-                if any(self.trunc[v] is not None and k[v] > self.trunc[v] for v in bv)]
-        for k in drop:
-            del self.coeffs[k]
+        for v in bounded_vars(self.nvars):
+            t = self.trunc[v]
+            if t is not None:
+                for k in [k for k in self.coeffs if k[v] > t]:
+                    del self.coeffs[k]
 
     def check(self) -> "Series":
         """Raise AssertionError unless every key has ``nvars`` entries, no
@@ -402,12 +402,14 @@ class Series:
         every other divisor slice is subtracted from the remainder slice it
         lands on, with the r-pair loop of :meth:`mul`.  The divisor's
         graded-least key must be its per-variable corner (automatic with one
-        or two variables; for three variables the lowest-grade slice must be
-        the single slice at (min q, min s)); this is what makes the
-        rectangular truncation bound of the quotient sound.  Quotient slices
-        outside that box may rest on unknown data and are skipped without a
-        divisibility check.  The result is verified by multiplying back on
-        its box.
+        or two variables); this is what makes the rectangular truncation
+        bound of the quotient sound.  With three variables that check also
+        puts the lowest grade on a single slice: the lead is that grade's
+        slice of least q, so any other slice of the grade has larger q,
+        hence smaller s, and then the lead's s is not the divisor's least.
+        Quotient slices outside that box may rest on unknown data and are
+        skipped without a divisibility check.  The result is verified by
+        multiplying back on its box.
         """
         a, b = self._aligned(other)
         if not b.coeffs:
@@ -429,10 +431,6 @@ class Series:
                 raise ExactDivisionError(
                     "divisor's lowest-grade slice is not anchored at its exponent "
                     "corner; this quotient shape is unsupported")
-        if nv == 3 and any(grade(*k) == g0 for k in sb):
-            raise ExactDivisionError(
-                "three-variable division needs the divisor's leading slice on a "
-                "single (q, s) pair")
 
         floor = tuple(fa - bm for fa, bm in zip(a.floor, b_min))
         # emission at key k consumes a at k+lead and divisor keys up to

@@ -1,6 +1,6 @@
 """Algebra on three-variable Siegel expansions.
 
-Products and exact quotients, the multiplicative symmetrisation carrying
+Powers and exact quotients, the multiplicative symmetrisation carrying
 level t to tp, the fifteen-coset multiplicative Hecke product at 2 for
 level one, the main exponent involution, restrictions to the z = 0 and
 z = 1/2 Humbert slices, and the exponent reflections used for the
@@ -16,13 +16,6 @@ from math import isqrt
 from .cyclotomic import Cyc
 from .lift import QRS_DENOMS, SiegelExpansion
 from .qseries import InsufficientBoxError, Series, exponent_map
-
-
-def siegel_mul(a: SiegelExpansion, b: SiegelExpansion) -> SiegelExpansion:
-    if a.level != b.level:
-        raise ValueError("can only multiply expansions at the same level")
-    return SiegelExpansion(a.series.mul(b.series), a.level, a.weight + b.weight,
-                           a.char + b.char, "quotient")
 
 
 def siegel_div(a: SiegelExpansion, b: SiegelExpansion) -> SiegelExpansion:

@@ -2,5 +2,3 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-BOX = 144  # default verification box: exponents up to 6 (numerators over 24)

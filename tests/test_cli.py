@@ -179,6 +179,33 @@ def test_hecke_apply(capsys):
     assert "0,0,44" in out
 
 
+# every operator kind on a form it accepts
+HECKE_REQUESTS = [("lambda:2", "phi_0_1"), ("tminus:2", "phi_0_1"),
+                  ("tminuschar:2", "eta5_theta2z"), ("t0:2", "phi_0_2"),
+                  ("t0:3", "phi_0_4"), ("tplus2", "phi_0_2"), ("tplus14", "phi_0_4"),
+                  ("lambdastar:2", "phi_0_4")]
+
+
+@pytest.mark.parametrize("qmax", (6, 10))
+def test_hecke_apply_certifies_the_requested_box(capsys, qmax):
+    from paramodular import forms
+    for op, form in HECKE_REQUESTS:
+        assert main(["hecke", "apply", "--op", op, "--form", form,
+                     "--qmax", str(qmax)]) == 0, op
+        data = json.loads(capsys.readouterr().out)
+        assert data["trunc"] == [24 * qmax, None], op
+        keys = [t[:2] for t in data["terms"]]
+        assert data["floor"] == [min((k[i] for k in keys), default=0)
+                                 for i in (0, 1)], op
+    # the printed floor is the stored minimum, whatever was built before
+    forms.clear_cache()
+    main(["form", "expand", "phi_0_2", "--qmax", "2"])
+    fresh = capsys.readouterr().out
+    forms.catalog("phi_0_2", 480)
+    main(["form", "expand", "phi_0_2", "--qmax", "2"])
+    assert capsys.readouterr().out == fresh
+
+
 def test_roots_check_and_lie(capsys):
     assert main(["roots", "check", "D2"]) == 0
     assert "tables verified" in capsys.readouterr().out

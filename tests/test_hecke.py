@@ -1,10 +1,12 @@
 import pytest
 
+from paramodular import hecke
 from paramodular.forms import catalog, eta_power, theta_series
 from paramodular.hecke import (HeckeDescriptor, gauss_sum, gauss_sum_bruteforce,
                                lambda_op, lambda_star, t0, t0_norm_formula,
                                t_minus_char, t_minus_weight0, t_plus_1_4,
                                t_plus_2)
+from paramodular.qseries import InsufficientBoxError
 
 B = 24 * 40
 
@@ -194,6 +196,8 @@ def test_descriptor_parsing_and_apply():
     assert img.index == 6
     with pytest.raises(ValueError):
         HeckeDescriptor("bogus").apply(catalog("phi_0_2", 96))
+    with pytest.raises(ValueError, match="positive index"):
+        HeckeDescriptor.parse("t0:2").image("E4", 48)
 
 
 def test_operators_preserve_norm_dependence():
@@ -201,3 +205,53 @@ def test_operators_preserve_norm_dependence():
     img.norm_map()   # raises if the image is not norm-dependent
     img2 = t0(catalog("phi_0_1", 24 * 40), 2)
     img2.norm_map()
+
+
+# one representative catalog form for every operator kind
+PLANNED = [("lambda:2", "phi_0_1"), ("tminus:2", "phi_0_1"),
+           ("tminuschar:2", "eta5_theta2z"), ("t0:2", "phi_0_3"), ("t0:3", "phi_0_4"),
+           ("tplus2", "phi_0_2"), ("tplus14", "phi_0_4"), ("lambdastar:2", "xi_0_12")]
+
+
+def test_every_operator_has_a_depth_rule():
+    assert hecke._DEPTHS.keys() == hecke._OPERATORS.keys()
+    assert {HeckeDescriptor.parse(op).kind for op, _ in PLANNED} == hecke._OPERATORS.keys()
+
+
+def _requested_depth(monkeypatch, run):
+    """The last catalog depth that ``run`` asks hecke.py for."""
+    asked = []
+
+    def spy(name, qmax):
+        asked.append(qmax)
+        return catalog(name, qmax)
+
+    monkeypatch.setattr(hecke, "catalog", spy)
+    run()
+    monkeypatch.undo()
+    return asked[-1]
+
+
+@pytest.mark.parametrize("q", (48, 144))
+def test_hecke_images_request_exactly_enough_input(monkeypatch, q):
+    for op, name in PLANNED:
+        desc = HeckeDescriptor.parse(op)
+        need = _requested_depth(monkeypatch, lambda: desc.image(name, q))
+        phi = catalog(name, need + 96)
+        assert desc.apply(phi.restricted(need)).qmax >= q, op
+        try:
+            short = desc.apply(phi.restricted(need - 24)).qmax
+        except InsufficientBoxError:
+            short = None
+        assert short is None or short < q, op
+        img = desc.image(name, q)
+        assert img.qmax == q, op
+        assert img.series.coeffs == desc.apply(phi).series.restricted((q,)).coeffs, op
+
+
+def test_image_refuses_a_short_certified_box(monkeypatch):
+    real = catalog
+    monkeypatch.setattr(hecke, "catalog",
+                        lambda name, qmax: real(name, qmax).restricted(max(qmax - 24, 24)))
+    with pytest.raises(InsufficientBoxError, match="short of the requested 48"):
+        HeckeDescriptor.parse("tminus:2").image("phi_0_1", 48)

@@ -8,14 +8,14 @@ from paramodular.lift import SiegelExpansion, closed_form, exp_lift, lift_arith
 from paramodular.qseries import ExactDivisionError
 from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
                                 hecke_product_T2, involution_V, ms_p,
-                                restrict_z, siegel_div, siegel_mul, siegel_pow)
+                                restrict_z, siegel_div, siegel_pow)
 
 B = 144
 
 
 def test_siegel_mul_and_self_division():
     d1 = closed_form("delta1", B, B)
-    sq = siegel_mul(d1, d1)
+    sq = siegel_pow(d1, 2)
     assert sq.weight == 2
     assert sq.series.leading()[0] == (8, -2, 24)
     one = siegel_div(d1, d1)
