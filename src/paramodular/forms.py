@@ -65,10 +65,8 @@ class JacobiExpansion:
         if t.denominator != 1:
             raise ValueError("norm map needs an integral index")
         out = {}
-        for (a, b), c in self.series.terms():
-            if a % 24 or b % 2:
-                raise ValueError("norm map needs integral exponents")
-            norm = 4 * t.numerator * (a // 24) - (b // 2) ** 2
+        for key, c in self.series.terms():
+            norm = _norm(t.numerator, key)
             if norm in out:
                 if strict and out[norm] != c:
                     raise ValueError(f"coefficients are not norm-dependent at norm {norm}")
@@ -125,14 +123,6 @@ class JacobiExpansion:
                                CharacterTag(self.char.D, self.char.eps * n),
                                self.kind)
 
-    def unscale_z(self, n: int) -> "JacobiExpansion":
-        """Inverse of rescale_z; r-exponents must all be divisible by n."""
-        mat = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, n)))
-        return JacobiExpansion(self.series.substitute_linear(mat),
-                               self.weight, self.index / (n * n),
-                               CharacterTag(self.char.D, self.char.eps),
-                               self.kind)
-
     def with_kind(self, kind: str) -> "JacobiExpansion":
         return JacobiExpansion(self.series, self.weight, self.index, self.char, kind)
 
@@ -144,6 +134,14 @@ class JacobiExpansion:
         return (f"JacobiExpansion(weight={self.weight}, index={self.index}, "
                 f"char=(D={self.char.D}, eps={self.char.eps}), kind={self.kind}, "
                 f"{len(self.series)} terms, qmax={self.qmax})")
+
+
+def _norm(t: int, key) -> int:
+    """The norm 4tn - l^2 of a (24, 2) key at integral index t."""
+    a, b = key
+    if a % 24 or b % 2:
+        raise ValueError("norm map needs integral exponents")
+    return 4 * t * (a // 24) - (b // 2) ** 2
 
 
 def _combine_kind(a: str, b: str) -> str:
@@ -397,14 +395,13 @@ def _b_phi_0_2(qmax):
 
 
 def _b_phi_0_1(qmax):
-    # invert phi_0_1(tau, 2z) = phi_0_2^2 - 8 phi_0_4 on the r-lattice
-    p2 = catalog("phi_0_2", qmax)
-    p4 = catalog("phi_0_4", qmax)
-    comb = (p2 * p2) - p4.scale(8)
-    out = comb.unscale_z(2)
-    out = JacobiExpansion(out.series, Fraction(0), Fraction(1),
-                          CharacterTag(0, 0), "weak")
-    return out
+    # the modified heat operator maps J_{-2,1} onto C phi_0_1 (Eichler-Zagier,
+    # Thm 9.3); -6 and -5 match the q^0 rows r + 10 + 1/r and r - 2 + 1/r
+    pm = catalog("phi_m2_1", qmax).series
+    heat = Series(2, QR_DENOMS, {k: -6 * n * c for k, c in pm.terms()
+                                 if (n := _norm(1, k))}, pm.trunc, pm.floor)
+    out = heat + eisenstein(2, qmax).series.mul(pm).scale(-5)
+    return JacobiExpansion(out, 0, 1, CharacterTag(0, 0), "weak")
 
 
 def _b_phi_2_2(qmax):
@@ -671,7 +668,7 @@ _ROUTES = {
     "xi_0_3half": "theta(tau,2z)/theta(tau,z)",
     "xi_0_6": "xi_0_3half at (tau, 2z)",
     "xi_0_12": "theta(6z) theta(z) / (theta(3z) theta(2z))",
-    "phi_0_1": "(phi_0_2^2 - 8 phi_0_4) pulled back along z -> z/2",
+    "phi_0_1": "-6 (4n - l^2) phi_m2_1 - 5 E2 phi_m2_1 (heat operator)",
     "phi_0_2": "theta-bracket phi_2_2 / eta^4",
     "phi_0_3": "(theta(2z)/theta(z))^2",
     "phi_0_4": "theta(3z)/theta(z)",

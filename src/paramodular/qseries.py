@@ -10,12 +10,13 @@ in play.
 Truncation is a contract, not a storage limit: ``trunc[v]`` is the largest
 numerator of the bounded variable ``v`` up to which the stored terms are
 guaranteed to be *all* terms of the underlying object (``None`` = complete
-everywhere).  ``floor[v]`` is a global lower bound for the numerators of
-every term of the underlying object, supplied at construction and
-propagated through the arithmetic; it is what makes the recomputed
-truncation bounds of products and quotients sound.  The middle variable r
-is never truncated (its support is finite on every (q, s) slice of the
-objects we build), so its trunc entry is always ``None``.
+everywhere).  ``floor[v]`` of a bounded variable is a global lower bound
+for the numerators of every term of the underlying object, supplied at
+construction and propagated through the arithmetic; it is what makes the
+recomputed truncation bounds of products and quotients sound.  The middle
+variable r is never truncated (its support is finite on every (q, s) slice
+of the objects we build), so its trunc entry is always ``None``; its floor
+bounds the stored terms only, and no truncation bound reads it.
 """
 
 from __future__ import annotations
@@ -152,17 +153,16 @@ class Series:
 
     def check(self) -> "Series":
         """Raise AssertionError unless every key has ``nvars`` entries, no
-        coefficient is zero, the bounded floor is <= every key, every key
-        lies in the bounded trunc and r is untruncated; return self.  The
-        r-floor is not checked: a quotient's (numerator's less divisor's)
-        can lie above its keys, and nothing certified reads it."""
+        coefficient is zero, the floor is <= every key in every variable,
+        every key lies in the bounded trunc and r is untruncated; return
+        self."""
         bv = bounded_vars(self.nvars)
         if self.nvars > 1 and self.trunc[1] is not None:
             raise AssertionError(f"r is truncated at {self.trunc[1]}")
         for k, c in self.coeffs.items():
             if len(k) != self.nvars or not c:
                 raise AssertionError(f"bad term {k}: {c}")
-            if any(k[v] < self.floor[v] for v in bv):
+            if any(x < f for x, f in zip(k, self.floor)):
                 raise AssertionError(f"key {k} below the floor {self.floor}")
             if any(self.trunc[v] is not None and k[v] > self.trunc[v] for v in bv):
                 raise AssertionError(f"key {k} outside the trunc {self.trunc}")
@@ -480,6 +480,8 @@ class Series:
 
         q = Series(nv, a.denoms, _unslice(nv, out), tuple(trunc), floor)
         q._drop_overflow()
+        if nv > 1:  # the numerator's r-floor less the divisor's is no bound on r
+            q.floor = (floor[0], min((k[1] for k in q.coeffs), default=floor[1])) + floor[2:]
         # tripwire: verify q*b == a on the certified box
         check = q.mul(b)
         bad = check.first_mismatch(a)

@@ -137,6 +137,9 @@ def reference_div(num, den):
                     del sl[kk]
     q = Series(a.nvars, a.denoms, out, tuple(trunc), floor)
     q._drop_overflow()
+    if a.nvars > 1:
+        # the stated r-floor is the least stored r
+        q.floor = (floor[0], min((k[1] for k in q.coeffs), default=floor[1])) + floor[2:]
     bad = q.mul(b).first_mismatch(a)
     if bad is not None:
         raise ExactDivisionError(f"nonzero remainder: quotient verification "
@@ -331,6 +334,7 @@ def test_check_catches_broken_invariants():
         Series(2, (1, 1), {(5, 0): 1}, (4, None), (0, 0)),
         Series(2, (1, 1), {(0, 0): 1}, (4, 3), (0, 0)),
         Series(2, (1, 1), {(0,): 1}, (4, None), (0, 0)),
+        Series(2, (1, 1), {(0, -1): 1}, (4, None), (0, 0)),
     ]
     for ser in broken:
         with pytest.raises(AssertionError):

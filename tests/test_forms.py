@@ -219,6 +219,16 @@ def test_basis_identities():
         catalog("xi_0_6", q).series) is None
 
 
+def test_heat_route_of_phi_0_1_matches_the_theta_quotient_route_deep():
+    # phi_0_1 is built from phi_m2_1 by the heat operator; phi_0_2 and
+    # phi_0_4 are theta and eta quotients, so this is a second route
+    q = 1000
+    p1, p2, p4 = (catalog(n, q) for n in ("phi_0_1", "phi_0_2", "phi_0_4"))
+    lhs, rhs = p1.rescale_z(2).series, (p2 * p2 - p4.scale(8)).series
+    assert lhs.trunc == rhs.trunc == (q, None)
+    assert lhs.first_mismatch(rhs) is None
+
+
 def test_eq_4_6_route_for_phi_0_36():
     q = 24 * 6
     lhs = (catalog("phi_0_4", q).rescale_z(3)
@@ -284,6 +294,19 @@ def test_every_catalog_form_meets_the_requested_depth(monkeypatch):
             if got is not None and got < depth:
                 short[name] = got
         assert not short, (depth, short)
+
+
+def test_every_catalog_form_at_depth_480_passes_check(monkeypatch):
+    # check() tests the floor in every variable, r included
+    from paramodular import forms
+    monkeypatch.setattr(forms, "_CACHE", {})
+    bad = {}
+    for name in registry_names():
+        try:
+            catalog(name, 480).series.check()
+        except AssertionError as e:
+            bad[name] = str(e)
+    assert not bad
 
 
 def test_catalog_refuses_a_short_build(monkeypatch):

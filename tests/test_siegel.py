@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from paramodular.forms import catalog
-from paramodular.hecke import t_minus_weight0
-from paramodular.lift import SiegelExpansion, closed_form, exp_lift, lift_arith
+from paramodular.forms import hecke_image
+from paramodular.lift import (SiegelExpansion, closed_form, lift_arith, lift_exp,
+                              lift_exp_of)
 from paramodular.qseries import ExactDivisionError
 from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
                                 hecke_product_T2, involution_V, ms_p,
@@ -34,25 +34,23 @@ def test_siegel_div_remainder_raises():
 
 
 def test_ms2_delta1_equals_exp_of_tminus_image():
-    d1 = closed_form("delta1", 200, 200)
+    d1 = closed_form("delta1", B, B)
     left = ms_p(d1, 2, cap=(B, B))
     assert left.weight == 3 and left.level == 6
-    phi = t_minus_weight0(catalog("phi_0_3", 24 * 80), 2)
-    right = exp_lift(phi, B, B)
+    right = lift_exp_of(lambda depth: hecke_image("tminus:2", "phi_0_3", depth), B, B)
     assert left.series.restricted((B, B)).first_mismatch(right.series) is None
 
 
 def test_ms3_delta1_equals_exp_of_tminus_image():
-    d1 = closed_form("delta1", 220, 300)
+    d1 = closed_form("delta1", B, B)
     left = ms_p(d1, 3, cap=(B, B))
-    phi = t_minus_weight0(catalog("phi_0_3", 24 * 90), 3)
-    right = exp_lift(phi, B, B)
+    right = lift_exp_of(lambda depth: hecke_image("tminus:3", "phi_0_3", depth), B, B)
     assert left.series.restricted((B, B)).first_mismatch(right.series) is None
     assert left.series.is_rational()
 
 
 def test_ms2_delta2_is_theta_constant_pair():
-    d2f = closed_form("delta2", 200, 400)
+    d2f = closed_form("delta2", B, B)
     left = ms_p(d2f, 2, cap=(B, B)).series.restricted((B, B))
     d5_4 = closed_form("delta5", B, 60).series.substitute_linear(
         ((Fraction(1), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
@@ -62,9 +60,10 @@ def test_ms2_delta2_is_theta_constant_pair():
 
 
 def test_ms2_delta5_over_delta2_squared_is_delta11():
-    d5 = closed_form("delta5", 240, 240)
-    ms5 = ms_p(d5, 2, cap=(170, 180))
-    d2sq = siegel_pow(closed_form("delta2", 200, 200), 2)
+    # siegel_div loses the lead (12, 24) of delta2^2 from the numerator's box
+    d5 = closed_form("delta5", B + 12, B + 24)
+    ms5 = ms_p(d5, 2, cap=(B + 12, B + 24))
+    d2sq = siegel_pow(closed_form("delta2", B, B), 2)
     quot = siegel_div(ms5, d2sq)
     d11 = lift_arith("eta21_theta2z", 1, B, B)
     assert (quot.weight, quot.level) == (11, 2) == (d11.weight, d11.level)
@@ -72,7 +71,7 @@ def test_ms2_delta5_over_delta2_squared_is_delta11():
 
 
 def test_ms_weight_bookkeeping():
-    d1 = closed_form("delta1", 96, 96)
+    d1 = closed_form("delta1", 48, 48)
     out = ms_p(d1, 2, cap=(48, 48))
     assert out.weight == d1.weight * 3
     out3 = ms_p(d1, 3, cap=(24, 24))
@@ -80,13 +79,14 @@ def test_ms_weight_bookkeeping():
 
 
 def test_hecke_product_T2_route_for_delta35():
-    d5 = closed_form("delta5", 240, 240)
-    hp = hecke_product_T2(d5, 240, 240)
+    # siegel_div loses the lead (96, 96) of delta5^8 from the numerator's box
+    d5 = closed_form("delta5", B + 96, B + 96)
+    hp = hecke_product_T2(d5, B + 96, B + 96)
     assert hp.series.is_rational()
-    d58 = siegel_pow(closed_form("delta5", 160, 160), 8)
+    d58 = siegel_pow(closed_form("delta5", B, B), 8)
     quot = siegel_div(hp, d58)
     assert quot.weight == 35
-    d35 = exp_lift(catalog("phi_0_1_t02m2", 24 * 78), B, B)
+    d35 = lift_exp("phi_0_1_t02m2", B, B)
     assert quot.series.first_mismatch(d35.series) is None
     assert quot.series.get((72, 2, 48)) == 1
     assert quot.series.get((48, 2, 72)) == -1
