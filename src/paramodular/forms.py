@@ -17,7 +17,7 @@ import threading
 from fractions import Fraction
 
 from .chars import CharacterTag, divisors, kronecker
-from .qseries import Series
+from .qseries import Series, div_operands
 
 QR_DENOMS = (24, 2)
 
@@ -362,38 +362,6 @@ def clear_cache():
         _CACHE.clear()
 
 
-def _b_theta(qmax):
-    return theta_series(qmax)
-
-
-def _b_theta32(qmax):
-    return theta32_series(qmax)
-
-
-def _b_xi_0_3half(qmax):
-    t2 = theta_series(qmax + 3, 2)
-    t1 = theta_series(qmax + 3, 1)
-    out = t2 / t1
-    return out.with_kind("weak")
-
-
-def _b_phi_0_4(qmax):
-    t3 = theta_series(qmax + 3, 3)
-    t1 = theta_series(qmax + 3, 1)
-    return (t3 / t1).with_kind("weak")
-
-
-def _b_phi_0_3(qmax):
-    xi = catalog("xi_0_3half", qmax)
-    return (xi * xi).with_kind("weak")
-
-
-def _b_phi_0_2(qmax):
-    num = phi_2_2_sum(qmax + 4)
-    den = eta_power(4, qmax + 4)
-    return (num / den).with_kind("weak")
-
-
 def _b_phi_0_1(qmax):
     # the modified heat operator maps J_{-2,1} onto C phi_0_1 (Eichler-Zagier,
     # Thm 9.3); -6 and -5 match the q^0 rows r + 10 + 1/r and r - 2 + 1/r
@@ -404,28 +372,8 @@ def _b_phi_0_1(qmax):
     return JacobiExpansion(out, 0, 1, CharacterTag(0, 0), "weak")
 
 
-def _b_phi_2_2(qmax):
-    return phi_2_2_sum(qmax)
-
-
 def _b_xi_0_6(qmax):
     return catalog("xi_0_3half", qmax).rescale_z(2).with_kind("weak")
-
-
-def _b_xi_0_12(qmax):
-    t6 = theta_series(qmax + 6, 6)
-    t1 = theta_series(qmax + 6, 1)
-    t3 = theta_series(qmax + 6, 3)
-    t2 = theta_series(qmax + 6, 2)
-    return ((t6 * t1) / (t3 * t2)).with_kind("weak")
-
-
-def _b_phi_0_36(qmax):
-    t10 = theta_series(qmax + 6, 10)
-    t1 = theta_series(qmax + 6, 1)
-    t5 = theta_series(qmax + 6, 5)
-    t2 = theta_series(qmax + 6, 2)
-    return ((t10 * t1) / (t5 * t2)).with_kind("weak")
 
 
 def _b_phi_0_9(qmax):
@@ -436,27 +384,10 @@ def _b_phi_0_9(qmax):
     return out.with_kind("weak")
 
 
-def _b_phi_0_18(qmax):
-    return (catalog("xi_0_12", qmax) * catalog("xi_0_6", qmax)).with_kind("weak")
-
-
-def _b_phi_0_10(qmax):
-    return (catalog("phi_0_4", qmax) * catalog("xi_0_6", qmax)).with_kind("weak")
-
-
-def _b_phi_0_5(qmax):
-    return (catalog("phi_0_2", qmax) * catalog("phi_0_3", qmax)).with_kind("weak")
-
-
 def _b_phi_0_5_alt(qmax):
     a = (catalog("phi_0_2", qmax) * catalog("phi_0_3", qmax)).scale(2)
     b = catalog("phi_0_1", qmax) * catalog("phi_0_4", qmax)
     return (a - b).with_kind("weak")
-
-
-def _b_phi_m2_1(qmax):
-    th = catalog("theta", qmax + 6)
-    return ((th * th) / eta_power(6, qmax + 6)).with_kind("weak")
 
 
 def _b_e4_1(qmax):
@@ -481,26 +412,6 @@ def _b_phi_12_1(qmax):
     ser = val.series
     ser = Series(2, QR_DENOMS, ser.coeffs, ser.trunc, (24, ser.floor[1]))
     return JacobiExpansion(ser, val.weight, val.index, val.char, "cusp")
-
-
-def _b_phi_3_1(qmax):
-    # the quotient's box ends 18 numerators below the operands', the
-    # divisor's lead q^(18/24); the numerator's floor q^1 lies above it
-    pad = qmax + 18
-    return (catalog("phi_12_1", pad) / eta_power(18, pad)).with_kind("holomorphic")
-
-
-def _b_phi_1_4(qmax):
-    return (eta_power(2, qmax) * catalog("phi_0_4", qmax)).with_kind("holomorphic")
-
-
-def _b_psi_3half_8(qmax):
-    p4 = catalog("phi_0_4", qmax)
-    return (eta_power(3, qmax) * p4 * p4).with_kind("holomorphic")
-
-
-def _b_delta_tau(qmax):
-    return eta_power(24, qmax).with_kind("cusp")
 
 
 def _b_theta8(qmax):
@@ -530,17 +441,13 @@ def _b_phi_0_1_t02m2(qmax):
 
 
 def _b_psi_0_2(qmax):
-    e61 = catalog("E6_1", qmax + 96)
-    delta = catalog("delta_tau", qmax + 96)
-    lead = (e61 * e61) / delta
+    lead = ratio(["E6_1", "E6_1"], ["delta_tau"])(qmax)
     out = lead - catalog("phi_0_2_11", qmax).scale(2) + catalog("phi_0_2", qmax).scale(176)
     return out.with_kind("nearly-holomorphic")
 
 
 def _b_psi_0_3(qmax):
-    e41 = catalog("E4_1", qmax + 96)
-    delta = catalog("delta_tau", qmax + 96)
-    lead = (e41 * e41 * e41) / delta
+    lead = ratio(["E4_1", "E4_1", "E4_1"], ["delta_tau"])(qmax)
     out = lead - catalog("phi_0_3_6", qmax).scale(3) - catalog("phi_0_3", qmax).scale(171)
     return out.with_kind("nearly-holomorphic")
 
@@ -550,63 +457,72 @@ def _b_psi_0_4(qmax):
     # (the quotient must have weight 0 to combine with the Hecke images)
     part1 = (hecke_image("t0:2", "phi_0_1", qmax)
              + catalog("phi_0_1", qmax).scale(26)).rescale_z(2)
-    e4 = eisenstein(4, qmax + 96)
-    part2 = (e4 * e4 * catalog("theta8", qmax + 96)) / catalog("delta_tau", qmax + 96)
+    part2 = ratio(["E4", "E4", "theta8"], ["delta_tau"])(qmax)
     part3 = (hecke_image("t0:3", "phi_0_4", qmax)
              + catalog("phi_0_4", qmax).scale(4)).scale(8)
     out = part1 - part2 - part3
     return out.with_kind("nearly-holomorphic")
 
 
-def _prod(*names):
+_PRIMITIVES = {"eta": lambda qmax, d: eta_power(d, qmax),
+               "theta": theta_series, "theta32": theta32_series}
+
+
+def _product(factors, qmax):
+    """The product of ``factors`` on q-numerators <= qmax: each a catalog
+    name or a primitive ``(kind, argument)`` of :data:`_PRIMITIVES`."""
+    out = None
+    for item in factors:
+        if isinstance(item, tuple):
+            f = _PRIMITIVES[item[0]](qmax, item[1])
+        else:
+            f = catalog(item, qmax)
+        out = f if out is None else out * f
+    return out
+
+
+def ratio(num, den=(), kind="weak"):
+    """The builder of prod(num) / prod(den) on q-numerators <= qmax, tagged
+    ``kind``; the quotient's operands are built at the depths
+    :func:`~paramodular.qseries.div_operands` plans."""
     def build(qmax):
-        out = None
-        for item in names:
-            if isinstance(item, tuple):
-                kind, arg = item
-                if kind == "eta":
-                    f = eta_power(arg, qmax)
-                elif kind == "theta":
-                    f = theta_series(qmax, arg)
-                elif kind == "theta32":
-                    f = theta32_series(qmax, arg)
-                else:
-                    raise KeyError(kind)
-            else:
-                f = catalog(item, qmax)
-            out = f if out is None else out * f
-        return out.with_kind("cusp")
+        if not den:
+            return _product(num, qmax).with_kind(kind)
+        a, b = div_operands(lambda d: _product(num, d), lambda d: _product(den, d), (qmax,))
+        return (a / b).with_kind(kind)
     return build
 
 
+_TH1, _TH2 = ("theta", 1), ("theta", 2)
+
 _BUILDERS = {
-    "theta": _b_theta,
-    "theta32": _b_theta32,
-    "xi_0_3half": _b_xi_0_3half,
+    "theta": ratio([_TH1], kind="cusp"),
+    "theta32": ratio([("theta32", 1)], kind="cusp"),
+    "xi_0_3half": ratio([_TH2], [_TH1]),
     "xi_0_6": _b_xi_0_6,
-    "xi_0_12": _b_xi_0_12,
+    "xi_0_12": ratio([("theta", 6), _TH1], [("theta", 3), _TH2]),
     "phi_0_1": _b_phi_0_1,
-    "phi_0_2": _b_phi_0_2,
-    "phi_0_3": _b_phi_0_3,
-    "phi_0_4": _b_phi_0_4,
-    "phi_0_5": _b_phi_0_5,
+    "phi_0_2": ratio(["phi_2_2"], [("eta", 4)]),
+    "phi_0_3": ratio(["xi_0_3half", "xi_0_3half"]),
+    "phi_0_4": ratio([("theta", 3)], [_TH1]),
+    "phi_0_5": ratio(["phi_0_2", "phi_0_3"]),
     "phi_0_5_alt": _b_phi_0_5_alt,
     "phi_0_9": _b_phi_0_9,
-    "phi_0_10": _b_phi_0_10,
-    "phi_0_18": _b_phi_0_18,
-    "phi_0_36": _b_phi_0_36,
-    "phi_m2_1": _b_phi_m2_1,
-    "phi_1_4": _b_phi_1_4,
-    "phi_2_2": _b_phi_2_2,
-    "phi_3_1": _b_phi_3_1,
+    "phi_0_10": ratio(["phi_0_4", "xi_0_6"]),
+    "phi_0_18": ratio(["xi_0_12", "xi_0_6"]),
+    "phi_0_36": ratio([("theta", 10), _TH1], [("theta", 5), _TH2]),
+    "phi_m2_1": ratio([_TH1, _TH1], [("eta", 6)]),
+    "phi_1_4": ratio([("eta", 2), "phi_0_4"], kind="holomorphic"),
+    "phi_2_2": phi_2_2_sum,
+    "phi_3_1": ratio(["phi_12_1"], [("eta", 18)], kind="holomorphic"),
     "phi_12_1": _b_phi_12_1,
-    "psi_3half_8": _b_psi_3half_8,
+    "psi_3half_8": ratio([("eta", 3), "phi_0_4", "phi_0_4"], kind="holomorphic"),
     "E2": lambda qmax: eisenstein(2, qmax),
     "E4": lambda qmax: eisenstein(4, qmax),
     "E6": lambda qmax: eisenstein(6, qmax),
     "E4_1": _b_e4_1,
     "E6_1": _b_e6_1,
-    "delta_tau": _b_delta_tau,
+    "delta_tau": ratio([("eta", 24)], kind="cusp"),
     "theta8": _b_theta8,
     "phi_0_2_11": _b_phi_0_2_11,
     "phi_0_3_6": _b_phi_0_3_6,
@@ -615,20 +531,19 @@ _BUILDERS = {
     "psi_0_3": _b_psi_0_3,
     "psi_0_4": _b_psi_0_4,
     # arithmetic-lift inputs
-    "eta1_theta": _prod(("eta", 1), ("theta", 1)),
-    "eta3_theta": _prod(("eta", 3), ("theta", 1)),
-    "eta9_theta": _prod(("eta", 9), ("theta", 1)),
-    "eta1_theta32": _prod(("eta", 1), ("theta32", 1)),
-    "eta3_theta32": _prod(("eta", 3), ("theta32", 1)),
-    "eta11_theta32": _prod(("eta", 11), ("theta32", 1)),
-    "eta21_theta2z": _prod(("eta", 21), ("theta", 2)),
-    "eta5_theta2z": _prod(("eta", 5), ("theta", 2)),
-    "eta3_theta6_theta2z": _prod(("eta", 3), ("theta", 1), ("theta", 1), ("theta", 1),
-                                 ("theta", 1), ("theta", 1), ("theta", 1), ("theta", 2)),
-    "eta6_theta_theta2z": _prod(("eta", 6), ("theta", 1), ("theta", 2)),
-    "eta3_theta2_theta2z": _prod(("eta", 3), ("theta", 1), ("theta", 1), ("theta", 2)),
-    "theta3_theta2z": _prod(("theta", 1), ("theta", 1), ("theta", 1), ("theta", 2)),
-    "theta_theta2z": _prod(("theta", 1), ("theta", 2)),
+    "eta1_theta": ratio([("eta", 1), _TH1], kind="cusp"),
+    "eta3_theta": ratio([("eta", 3), _TH1], kind="cusp"),
+    "eta9_theta": ratio([("eta", 9), _TH1], kind="cusp"),
+    "eta1_theta32": ratio([("eta", 1), ("theta32", 1)], kind="cusp"),
+    "eta3_theta32": ratio([("eta", 3), ("theta32", 1)], kind="cusp"),
+    "eta11_theta32": ratio([("eta", 11), ("theta32", 1)], kind="cusp"),
+    "eta21_theta2z": ratio([("eta", 21), _TH2], kind="cusp"),
+    "eta5_theta2z": ratio([("eta", 5), _TH2], kind="cusp"),
+    "eta3_theta6_theta2z": ratio([("eta", 3)] + [_TH1] * 6 + [_TH2], kind="cusp"),
+    "eta6_theta_theta2z": ratio([("eta", 6), _TH1, _TH2], kind="cusp"),
+    "eta3_theta2_theta2z": ratio([("eta", 3), _TH1, _TH1, _TH2], kind="cusp"),
+    "theta3_theta2z": ratio([_TH1, _TH1, _TH1, _TH2], kind="cusp"),
+    "theta_theta2z": ratio([_TH1, _TH2], kind="cusp"),
     # exp-lift inputs for the level 5-7 identities
     "phi_0_6_a": lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(3)
                                - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(2)
@@ -636,9 +551,8 @@ _BUILDERS = {
     "phi_0_6_b": lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(5)
                                - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(4)
                                ).with_kind("weak"),
-    "phi_0_6_c": lambda qmax: catalog("phi_0_3", qmax).pow(2).with_kind("weak"),
-    "phi_0_7": lambda qmax: (catalog("phi_0_3", qmax) * catalog("phi_0_4", qmax)
-                             ).with_kind("weak"),
+    "phi_0_6_c": ratio(["phi_0_3", "phi_0_3"]),
+    "phi_0_7": ratio(["phi_0_3", "phi_0_4"]),
 }
 
 

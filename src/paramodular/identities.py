@@ -12,10 +12,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from . import hecke
-from .forms import catalog, hecke_image
+from .forms import catalog, hecke_image, ratio
 from .lift import closed_form, lift_arith, lift_exp, lift_exp_of
 from .qseries import (ExactDivisionError, InsufficientBoxError, Series,
-                      exponent_map)
+                      div_operands, exponent_map)
 from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2, ms_p, restrict_z,
                      siegel_div, siegel_pow)
 
@@ -131,15 +131,10 @@ def verify_all(qmax: int = 144, smax: int = 144, section: str | None = None):
 # builders
 
 def _quotient(numerator, divisor, q, s):
-    """numerator / divisor on the box (q, s), each built by ``(Q, S) ->
-    SiegelExpansion``.  The divisor is built at (q, s) and the numerator
-    one divisor lead deeper: ``Series.div`` reads the numerator at each
-    quotient key plus that lead."""
-    d = divisor(q, s)
-    lead = d.series.min_key()
-    if lead is None:
-        raise InsufficientBoxError(f"the divisor has no term in the box ({q}, {s})")
-    return siegel_div(numerator(q + lead[0], s + lead[2]), d).series.restricted((q, s))
+    """numerator / divisor on the box (q, s), each operand built by
+    ``(Q, S) -> SiegelExpansion`` at the box that ``div_operands`` plans."""
+    a, b = div_operands(numerator, divisor, (q, s))
+    return siegel_div(a, b).series.restricted((q, s))
 
 
 _EQ39_ROWS = {
@@ -189,7 +184,7 @@ def _build_restrict(name, alpha):
     def build(qmax, smax):
         F = _closed(name, qmax, smax)
         r = restrict_z(F, alpha)
-        zero = Series(2, (24, 24), {}, r.trunc, r.floor)
+        zero = Series(3, r.denoms, {}, r.trunc, r.floor)
         return r, zero
     return build
 
@@ -221,18 +216,16 @@ def _build_registry() -> dict:
         lambda q, s: (theta32_series(q).series, quintuple_product_form(q)))
     add("lemma1.6", "1", "quintuple theta equals eta theta(2z)/theta(z)", "exact",
         lambda q, s: (theta32_series(q).series,
-                      (eta_power(1, q + 3) * theta_series(q + 3, 2)
-                       / theta_series(q + 3, 1)).series))
+                      ratio([("eta", 1), ("theta", 2)], [("theta", 1)])(q).series))
     add("eq1.34-bracket", "1", "theta bracket sum equals differential bracket",
         "exact",
         lambda q, s: (phi_2_2_sum(q).series,
-                      ez_bracket(theta_series(q + 8), theta32_series(q + 8),
-                                 scale=2).series.restricted((q,))))
+                      ez_bracket(theta_series(q), theta32_series(q), scale=2).series))
     add("ex1.15", "1", "index-raising image of eta^5 theta(2z) at 2",
         "up-to-constant",
         lambda q, s: (hecke_image("tminuschar:2", "eta5_theta2z", q).series,
-                      (eta_power(1, q + 24) * theta_series(q + 24).pow(4)
-                       * theta_series(q + 24, 2)).series.restricted((q,))),
+                      (eta_power(1, q) * theta_series(q).pow(4)
+                       * theta_series(q, 2)).series),
         expected=-1)
 
     # --- section 2: basis identities -----------------------------------

@@ -410,6 +410,11 @@ class Series:
         Quotient slices outside that box may rest on unknown data and are
         skipped without a divisibility check.  The result is verified by
         multiplying back on its box.
+
+        In each bounded variable, with the divisor's lead L and the
+        numerator's floor F, the quotient's trunc is the lesser of two
+        bounds: the numerator's trunc - L and the divisor's trunc + F - 2L.
+        :func:`div_operands` inverts them.
         """
         a, b = self._aligned(other)
         if not b.coeffs:
@@ -657,6 +662,33 @@ class Series:
         more = "" if len(self.coeffs) <= 6 else f" ... ({len(self.coeffs)} terms)"
         return (f"Series(nvars={self.nvars}, denoms={self.denoms}, "
                 f"trunc={self.trunc}, [{head}{more}])")
+
+
+def div_operands(numerator, divisor, box):
+    """The operands of a quotient certified on ``box``, one entry per
+    bounded variable: the inverse of the two trunc bounds of
+    :meth:`Series.div`.
+
+    ``numerator`` and ``divisor`` build an operand at a given box (one
+    argument per bounded variable) and return a :class:`Series` or an
+    object holding one as ``series``.  The divisor is built at ``box`` to
+    read its lead L, the numerator at box + L, and the divisor again at
+    box + 2L - F, with F the numerator's floor, only if its first build
+    certifies less.  Returns ``(numerator, divisor)``.
+    """
+    series = lambda x: x if isinstance(x, Series) else x.series
+    den = divisor(*box)
+    d = series(den)
+    if not d.coeffs:
+        raise InsufficientBoxError(f"the divisor has no term in the box {tuple(box)}")
+    bv = bounded_vars(d.nvars)
+    lead = [min(k[v] for k in d.coeffs) for v in bv]
+    num = numerator(*(b + l for b, l in zip(box, lead)))
+    floor = series(num).floor
+    need = [max(b, b + 2 * l - floor[v]) for b, l, v in zip(box, lead, bv)]
+    if any(d.trunc[v] is not None and d.trunc[v] < n for v, n in zip(bv, need)):
+        den = divisor(*need)
+    return num, den
 
 
 def _coeff_div(c, d):

@@ -87,8 +87,10 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     copies of F (automorphy scalars are constants per coset and surface in
     the logged proportionality constant of the identities that use this).
 
-    The input must be complete on the working box: q and s numerators up to
-    roughly 2*(qmax + smax - floors).
+    For an input complete to (Tq, Ts) the family-5 images are complete on
+    q <= (sqrt(2 Tq) - sqrt(Ts/2))^2, s <= Ts/2; the product's trunc follows
+    from the fifteen factors' boxes and floors and is restricted to
+    (qmax, smax).
     """
     if F.level != 1:
         raise ValueError("the printed coset list is for level one")
@@ -178,9 +180,8 @@ def restrict_z(F: SiegelExpansion, alpha) -> Series:
     """Restriction r -> e(alpha) for alpha in {0, 1/2}: coefficients summed
     over the r-direction with the corresponding root-of-unity weights.
 
-    Returns a terminal two-variable series in (q, s) over denominators
-    (24, 24); its trunc mirrors the input box and no further arithmetic
-    should be performed on it.
+    Returns a three-variable series over (24, 2, 24) whose terms all sit at
+    r = 0, on the input's (q, s) box.
     """
     alpha = Fraction(alpha)
     if alpha not in (Fraction(0), Fraction(1, 2)):
@@ -191,14 +192,14 @@ def restrict_z(F: SiegelExpansion, alpha) -> Series:
             coeff = coeff * Cyc.root(4, b % 4)
             if not coeff:
                 continue
-        key = (a, c)
+        key = (a, 0, c)
         v = out.get(key, 0) + coeff
         if v:
             out[key] = v
         elif key in out:
             del out[key]
     fq, _fr, fs = F.series.floor
-    return Series(2, (24, 24), out, (F.series.trunc[0], F.series.trunc[2]), (fq, fs))
+    return Series(3, QRS_DENOMS, out, F.series.trunc, (fq, 0, fs))
 
 
 # reflections negating the singular-weight forms, as matrices on actual

@@ -4,7 +4,7 @@ import pytest
 
 from paramodular.chars import CharacterTag
 from paramodular.forms import (catalog, eta_power, ez_bracket, manifest,
-                               phi_2_2_sum, quintuple_product_form,
+                               phi_2_2_sum, quintuple_product_form, ratio,
                                registry_names, theta_product_form, theta_series,
                                theta32_series)
 
@@ -61,8 +61,8 @@ def test_quintuple_slices():
 
 def test_quintuple_equals_eta_theta_quotient():
     lhs = theta32_series(B).series
-    rhs = (eta_power(1, B + 6) * theta_series(B + 6, 2) / theta_series(B + 6, 1)).series
-    assert lhs.first_mismatch(rhs) is None
+    rhs = ratio([("eta", 1), ("theta", 2)], [("theta", 1)])(B).series
+    assert rhs.trunc[0] >= B and lhs.first_mismatch(rhs) is None
 
 
 def test_q0_rows_of_the_weight_zero_catalog():
@@ -116,8 +116,8 @@ def test_phi_12_1_printed_rows():
 
 def test_bracket_route_matches_double_sum():
     lhs = phi_2_2_sum(B).series
-    rhs = ez_bracket(theta_series(B + 8), theta32_series(B + 8), scale=2).series
-    assert lhs.first_mismatch(rhs) is None
+    rhs = ez_bracket(theta_series(B), theta32_series(B), scale=2).series
+    assert rhs.trunc[0] >= B and lhs.first_mismatch(rhs) is None
 
 
 def test_bracket_antisymmetry():
@@ -307,6 +307,23 @@ def test_every_catalog_form_at_depth_480_passes_check(monkeypatch):
         except AssertionError as e:
             bad[name] = str(e)
     assert not bad
+
+
+def test_catalog_builds_agree_with_the_depth_480_build(monkeypatch):
+    # each build starts from an empty cache, so every form and its inputs
+    # are built at the requested depth
+    from paramodular import forms
+    deep = {}
+    for depth in (480, 240, 96, 24):
+        for name in registry_names():
+            monkeypatch.setattr(forms, "_CACHE", {})
+            got = catalog(name, depth)
+            ref = deep.setdefault(name, got)
+            assert got.qmax == depth, name
+            assert got.series.coeffs == ref.series.restricted((depth,)).coeffs, (name, depth)
+            assert got.series.floor[0] == ref.series.floor[0], (name, depth)
+            assert ((got.weight, got.index, got.char, got.kind)
+                    == (ref.weight, ref.index, ref.char, ref.kind)), (name, depth)
 
 
 def test_catalog_refuses_a_short_build(monkeypatch):

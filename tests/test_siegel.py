@@ -5,7 +5,7 @@ import pytest
 from paramodular.forms import hecke_image
 from paramodular.lift import (SiegelExpansion, closed_form, lift_arith, lift_exp,
                               lift_exp_of)
-from paramodular.qseries import ExactDivisionError
+from paramodular.qseries import ExactDivisionError, div_operands
 from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
                                 hecke_product_T2, involution_V, ms_p,
                                 restrict_z, siegel_div, siegel_pow)
@@ -60,10 +60,9 @@ def test_ms2_delta2_is_theta_constant_pair():
 
 
 def test_ms2_delta5_over_delta2_squared_is_delta11():
-    # siegel_div loses the lead (12, 24) of delta2^2 from the numerator's box
-    d5 = closed_form("delta5", B + 12, B + 24)
-    ms5 = ms_p(d5, 2, cap=(B + 12, B + 24))
-    d2sq = siegel_pow(closed_form("delta2", B, B), 2)
+    ms5, d2sq = div_operands(
+        lambda q, s: ms_p(closed_form("delta5", q, s), 2, cap=(q, s)),
+        lambda q, s: siegel_pow(closed_form("delta2", q, s), 2), (B, B))
     quot = siegel_div(ms5, d2sq)
     d11 = lift_arith("eta21_theta2z", 1, B, B)
     assert (quot.weight, quot.level) == (11, 2) == (d11.weight, d11.level)
@@ -79,11 +78,10 @@ def test_ms_weight_bookkeeping():
 
 
 def test_hecke_product_T2_route_for_delta35():
-    # siegel_div loses the lead (96, 96) of delta5^8 from the numerator's box
-    d5 = closed_form("delta5", B + 96, B + 96)
-    hp = hecke_product_T2(d5, B + 96, B + 96)
+    hp, d58 = div_operands(
+        lambda q, s: hecke_product_T2(closed_form("delta5", q, s), q, s),
+        lambda q, s: siegel_pow(closed_form("delta5", q, s), 8), (B, B))
     assert hp.series.is_rational()
-    d58 = siegel_pow(closed_form("delta5", B, B), 8)
     quot = siegel_div(hp, d58)
     assert quot.weight == 35
     d35 = lift_exp("phi_0_1_t02m2", B, B)
@@ -120,6 +118,7 @@ def test_restrictions_vanish_on_humbert_slices():
         F = closed_form(name, B, B)
         r = restrict_z(F, alpha)
         assert not r.coeffs, name
+        assert r.check().trunc == (B, None, B), name
 
 
 def test_restriction_is_nonzero_elsewhere():
