@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import forms, hecke, identities, kmroots, lift, siegel
-from .qseries import InsufficientBoxError, Series, bounded_vars
+from .qseries import Series
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -88,21 +88,18 @@ def cmd_lift(args) -> int:
 
 def cmd_siegel(args) -> int:
     q, s = _box(args)
-    # the operand is built at the output box; msym and heckeprod refuse a
-    # result certified short of it
-    base = _siegel_object(args.form, q, s)
+    build = lambda Q, S: _siegel_object(args.form, Q, S)
+    # msym and heckeprod ask for their own input box and refuse a result
+    # certified short of the request
     if args.verb == "msym":
-        out = siegel.ms_p(base, args.p, cap=(q, s))
-        _emit(_certified(out.series, (q, s)), args)
+        _emit(_canonical(siegel.ms_p_of(build, args.p, q, s).series, (q, s)), args)
     elif args.verb == "heckeprod":
-        out = siegel.hecke_product_T2(base, q, s)
-        _emit(_certified(out.series, (q, s)), args)
+        _emit(_canonical(siegel.hecke_product_T2_of(build, q, s).series, (q, s)), args)
     elif args.verb == "restrict":
         alpha = Fraction(1, 2) if args.alpha == "half" else Fraction(0)
-        _emit(siegel.restrict_z(base, alpha), args)
+        _emit(siegel.restrict_z(build(q, s), alpha), args)
     elif args.verb == "involution":
-        out = siegel.involution_V(base)
-        _emit(out.series, args)
+        _emit(siegel.involution_V(build(q, s)).series, args)
     else:
         raise KeyError(args.verb)
     return EXIT_OK
@@ -159,24 +156,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _certified(ser: Series, box) -> Series:
-    """Restrict to the box.  The trunc is the certified box clamped to the
-    requested one; an object certified short of the request is refused,
-    never widened."""
-    ser = ser.restricted(box)
-    for v, b in zip(bounded_vars(ser.nvars), box):
-        if ser.trunc[v] < b:
-            raise InsufficientBoxError(
-                f"certified to numerator {ser.trunc[v]} in variable {v}, "
-                f"short of the requested {b}")
-    return ser
-
-
 def _canonical(ser: Series, box) -> Series:
     """The certified restriction, with the floor entries pinned to the
     stored minima so exports are byte-identical regardless of internal
     build depth."""
-    ser = _certified(ser, box)
+    ser = ser.certified(box)
     floor = tuple(min((k[i] for k in ser.coeffs), default=0)
                   for i in range(ser.nvars))
     return Series(ser.nvars, ser.denoms, dict(ser.coeffs), ser.trunc, floor)

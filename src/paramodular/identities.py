@@ -11,13 +11,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from . import hecke
+from functools import partial
 from .forms import catalog, hecke_image, ratio
 from .lift import closed_form, lift_arith, lift_exp, lift_exp_of
 from .qseries import (ExactDivisionError, InsufficientBoxError, Series,
                       div_operands, exponent_map)
-from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2, ms_p, restrict_z,
-                     siegel_div, siegel_pow)
+from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2_of, ms_p_of,
+                     restrict_z, siegel_div, siegel_pow)
 
 _MEMO: dict = {}
 _LOCK = threading.Lock()
@@ -152,7 +152,7 @@ def _build_eq39(qmax, smax):
     got = {}
     want = {}
     for i, ((name, m), row) in enumerate(sorted(_EQ39_ROWS.items())):
-        img = hecke.t_minus_weight0(catalog(name, 24 * 4 * m), m)
+        img = hecke_image(f"tminus:{m}", name, 96)
         for l2, c in img.q_slice(0).items():
             got[(24 * i, l2)] = c
         for l, c in row.items():
@@ -359,11 +359,10 @@ def _build_registry() -> dict:
                       _exp("phi_0_10", q, s).series))
 
     # --- section 3: symmetrisation and Hecke products -------------------
-    # every operand is built at the output box; the certified trunc of the
-    # result decides whether that was enough
+    # each operator asks for the least input box that certifies its output
     def b_ms(name, p, rhs_phi, m):
         def build(q, s):
-            left = ms_p(_closed(name, q, s), p, cap=(q, s)).series
+            left = ms_p_of(partial(_closed, name), p, q, s).series
             right = lift_exp_of(lambda d: hecke_image(f"tminus:{m}", rhs_phi, d), q, s)
             return left, right.series
         return build
@@ -378,14 +377,14 @@ def _build_registry() -> dict:
         "up-to-constant", b_ms("delta2", 3, "phi_0_2", 3), expected=1)
 
     def b_310(q, s):
-        quot = _quotient(lambda Q, S: ms_p(_closed("delta5", Q, S), 2, cap=(Q, S)),
+        quot = _quotient(lambda Q, S: ms_p_of(partial(_closed, "delta5"), 2, Q, S),
                          lambda Q, S: siegel_pow(_closed("delta2", Q, S), 2), q, s)
         return quot, _arith("eta21_theta2z", 1, q, s).series
     add("eq3.10-delta11-sym", "3", "level-2 quotient of the symmetrised weight-5 form",
         "up-to-constant", b_310, expected=1)
 
     def b_313(q, s):
-        left = ms_p(_closed("delta2", q, s), 2, cap=(q, s)).series
+        left = ms_p_of(partial(_closed, "delta2"), 2, q, s).series
         d5_4 = _closed("delta5", q, -(-s // 4)).series.substitute_linear(
             ((Fraction(1), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
         dh2 = _closed("delta_half", q, s).series.pow(2)
@@ -394,7 +393,7 @@ def _build_registry() -> dict:
         "up-to-constant", b_313, expected=1)
 
     def b_322(q, s):
-        quot = _quotient(lambda Q, S: ms_p(_closed("delta5", Q, S), 3, cap=(Q, S)),
+        quot = _quotient(lambda Q, S: ms_p_of(partial(_closed, "delta5"), 3, Q, S),
                          lambda Q, S: siegel_pow(_closed("delta1", Q, S), 4), q, s)
         right = lift_exp_of(
             lambda d: (hecke_image("tminus:3", "phi_0_1", d)
@@ -404,7 +403,7 @@ def _build_registry() -> dict:
         "up-to-constant", b_322, expected=1)
 
     def b_331(q, s):
-        quot = _quotient(lambda Q, S: hecke_product_T2(_closed("delta5", Q, S), Q, S),
+        quot = _quotient(lambda Q, S: hecke_product_T2_of(partial(_closed, "delta5"), Q, S),
                          lambda Q, S: siegel_pow(_closed("delta5", Q, S), 8), q, s)
         return quot, _exp("phi_0_1_t02m2", q, s).series
     add("eq3.31-delta35", "3", "fifteen-coset product quotient vs product lift",

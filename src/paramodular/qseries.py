@@ -612,6 +612,17 @@ class Series:
         s._drop_overflow()
         return s
 
+    def certified(self, box) -> "Series":
+        """The restriction to the box, refused when certified short of it:
+        the trunc is clamped to the box, never widened."""
+        s = self.restricted(box)
+        for v, b in zip(bounded_vars(s.nvars), box):
+            if s.trunc[v] < b:
+                raise InsufficientBoxError(
+                    f"certified to numerator {s.trunc[v]} in variable {v}, "
+                    f"short of the requested {b}")
+        return s
+
     def common_box(self, other: "Series"):
         a, b = self._aligned(other)
         return tuple(_min_none(x, y) for x, y in

@@ -10,7 +10,8 @@ anti-invariance checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count
 from math import isqrt
 
 from .cyclotomic import Cyc
@@ -48,11 +49,33 @@ def _phase(num: int, den: int):
     return _root_of(num % den, den)
 
 
-def ms_p(F: SiegelExpansion, p: int, cap=None) -> SiegelExpansion:
+def _planned(build, rule, qmax: int, smax: int) -> SiegelExpansion:
+    """``build(Q, S)`` at the least (Q, S) from which ``rule(trunc, floor)``
+    certifies (qmax, smax), at the floor of a first build at (qmax, smax):
+    S first, as no s-rule reads Q, then Q, as no q-rule grows with S."""
+    F = build(qmax, smax)
+    floor = F.series.floor[::2]
+    S = next(S for S in count() if rule((0, S), floor)[1] >= smax)
+    Q = next(Q for Q in count() if rule((Q, S), floor)[0] >= qmax)
+    return F.restricted(Q, S) if Q <= qmax and S <= smax else build(Q, S)
+
+
+def _ms_box(p: int, trunc, floor):
+    """What ``ms_p`` certifies from an input's (q, s) trunc and floor: the
+    least t_i + the other factors' floors, over p copies and one at p^2 s."""
+    (tq, ts), (fq, fs) = trunc, floor
+    return tq + p * fq, (p + p * p) * fs + min(ts - fs, p * p * (ts - fs))
+
+
+def ms_p(F: SiegelExpansion, p: int, qmax: int, smax: int) -> SiegelExpansion:
     """Multiplicative symmetrisation: the product of F at (tau, p z, p^2 w)
     with the p translates of F in w by 1/(tp); the result carries level tp
     and weight (p+1) times the weight.  Root-of-unity phases are handled in
     Z[zeta_p] (plain signs for p = 2) and the result must come out rational.
+
+    Certified on q <= Tq + p fq, s <= (p + p^2) fs + min(Ts - fs, p^2 (Ts - fs))
+    for an input box (Tq, Ts) and floor (fq, fs) (``_ms_box``), and refused
+    when short of (qmax, smax); ``ms_p_of`` plans the input.
     """
     t = F.level
     ser = F.series
@@ -72,13 +95,38 @@ def ms_p(F: SiegelExpansion, p: int, cap=None) -> SiegelExpansion:
     for b in range(1, p):
         fb = ser.substitute_linear(
             _ID3, phase=lambda k, m=b * v: _phase((k[2] - s0) * m, 24 * p * u))
-        acc = acc.mul(fb, cap=cap)
-    out = fac_i.mul(acc, cap=cap).rationalized()
+        acc = acc.mul(fb, cap=(qmax, smax))
+    out = fac_i.mul(acc, cap=(qmax, smax)).rationalized().certified((qmax, smax))
     return SiegelExpansion(out, t * p, F.weight * (p + 1), F.char.scaled(p + 1),
                            "symmetrisation")
 
 
+def ms_p_of(build, p: int, qmax: int, smax: int) -> SiegelExpansion:
+    """``ms_p`` of ``build(Q, S)`` at the least box ``_ms_box`` allows."""
+    return ms_p(_planned(build, partial(_ms_box, p), qmax, smax), p, qmax, smax)
+
+
 _ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _family5_box(tq: int, ts: int):
+    """(q, s) trunc over (48, 4, 48) of the family-5 images of an input
+    complete to (tq, ts): as 2x - y + w/2 >= (sqrt(2x) - sqrt(w/2))^2 when
+    4 x w >= y^2, they hold q <= (sqrt(2 tq) - sqrt(ts/2))^2, s <= ts/2."""
+    aa = isqrt(2 * 24 * tq)
+    bb = isqrt(24 * ts // 2) + 1
+    return 2 * (max((aa - bb) ** 2 // 24 - 1, 0) if aa > bb else 0), 2 * (ts // 2)
+
+
+def _t2_box(trunc, floor):
+    """What ``hecke_product_T2`` certifies from an input's (q, s) trunc and
+    floor: the least t_i + the other factors' floors over (48, 4, 48), where
+    ten factors keep the input's box, three scale it by 4, two are family 5."""
+    (tq, ts), (fq, fs) = trunc, floor
+    t5q, t5s = _family5_box(tq, ts)
+    q = 22 * fq + min(tq - fq, 4 * (tq - fq), t5q)
+    s = 22 * fs + 4 * (fs // 2) + min(ts - fs, 4 * (ts - fs), t5s - 2 * (fs // 2))
+    return q // 2, s // 2
 
 
 def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansion:
@@ -87,16 +135,12 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     copies of F (automorphy scalars are constants per coset and surface in
     the logged proportionality constant of the identities that use this).
 
-    For an input complete to (Tq, Ts) the family-5 images are complete on
-    q <= (sqrt(2 Tq) - sqrt(Ts/2))^2, s <= Ts/2; the product's trunc follows
-    from the fifteen factors' boxes and floors and is restricted to
-    (qmax, smax).
+    Certified on the box ``_t2_box`` gives, and refused when short of
+    (qmax, smax); ``hecke_product_T2_of`` plans the input.
     """
     if F.level != 1:
         raise ValueError("the printed coset list is for level one")
     ser = F.series
-    if not ser.coeffs:
-        return SiegelExpansion(ser, 1, F.weight * 15, F.char.scaled(15), "hecke-product")
     half = Fraction(1, 2)
     fq, fr, fs = ser.floor
     factors = []
@@ -107,17 +151,13 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     # phases are normalized at a base support key: relative phases on a
     # theta-type integral lattice are signs, and the global root of unity
     # split off per coset is absorbed by the identities' logged constants
-    base_key = ser.min_key()
+    base_key = ser.min_key() or (0, 0, 0)
 
     def phased(mat, shift=(0, 0, 0), trunc=None, floor=None):
         """The substituted copy with phase e(shift . (key - base_key) / 48)
         on source keys over (24, 2, 24): translating (tau, z, w) by
         (a, b, c)/2 multiplies q^(k0/24) r^(k1/2) s^(k2/24) by
         e((a k0 + 12 b k1 + c k2) / 48), i.e. shift = (a, 12 b, c)."""
-        if trunc is not None:
-            trunc = tuple(None if x is None else 2 * x for x in trunc)
-        if floor is not None:
-            floor = tuple(2 * x for x in floor)
         phase = None
         if any(shift):
             h0, h1, h2 = shift
@@ -143,26 +183,27 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     # family 4: 2 tau, 2 z, 2 w
     m4 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     factors.append(phased(m4))
-    # family 5: 2 tau, -tau + z, (tau - 2z + w + b)/2.  The mixed map needs
-    # an explicit box: on a cusp expansion with 4 x w >= y^2 the image
-    # exponent 2x - y + w/2 is at least (sqrt(2x) - sqrt(w/2))^2, so the
-    # image is complete on q <= (sqrt(2 Tq) - sqrt(Ts/2))^2, s <= Ts/2
+    # family 5: 2 tau, -tau + z, (tau - 2z + w + b)/2, a mixed map that
+    # needs the explicit box of ``_family5_box``
     m5 = ((2, -1, half), (0, 1, -1), (0, 0, half))
     Tq, Ts = ser.trunc[0], ser.trunc[2]
     if Tq is None or Ts is None:
         raise InsufficientBoxError("the coset product needs a finitely truncated input")
-    aa = isqrt(2 * 24 * Tq)
-    bb = isqrt(24 * Ts // 2) + 1
-    tq5 = max((aa - bb) ** 2 // 24 - 1, 0) if aa > bb else 0
-    floor5 = (0, fr - fs, fs // 2)  # q-floor 0 from the support cone
+    t5q, t5s = _family5_box(Tq, Ts)
+    floor5 = (0, 2 * (fr - fs), 2 * (fs // 2))  # q-floor 0 from the support cone
     for b in range(2):
-        factors.append(phased(m5, (0, 0, b), trunc=(tq5, None, Ts // 2), floor=floor5))
+        factors.append(phased(m5, (0, 0, b), trunc=(t5q, None, t5s), floor=floor5))
 
     out = None
     for f in factors:
         out = f if out is None else out.mul(f, cap=(2 * qmax, 2 * smax))
-    out = out.rationalized().coarsened(QRS_DENOMS).restricted((qmax, smax))
+    out = out.rationalized().coarsened(QRS_DENOMS).certified((qmax, smax))
     return SiegelExpansion(out, 1, F.weight * 15, F.char.scaled(15), "hecke-product")
+
+
+def hecke_product_T2_of(build, qmax: int, smax: int) -> SiegelExpansion:
+    """``hecke_product_T2`` of ``build(Q, S)`` at the least box ``_t2_box`` allows."""
+    return hecke_product_T2(_planned(build, _t2_box, qmax, smax), qmax, smax)
 
 
 def involution_V(F: SiegelExpansion, tQ=None) -> SiegelExpansion:
@@ -186,12 +227,13 @@ def restrict_z(F: SiegelExpansion, alpha) -> Series:
     alpha = Fraction(alpha)
     if alpha not in (Fraction(0), Fraction(1, 2)):
         raise ValueError("alpha must be 0 or 1/2")
+    # at z = 1/2 a term r^(b/2) picks up i^b; past the global phase i^b0,
+    # b0 the parity of the r-numerators, the weights i^(b - b0) are signs
+    b0 = min((k[1] for k in F.series.coeffs), default=0) % 2
     out = {}
     for (a, b, c), coeff in F.series.terms():
         if alpha:
-            coeff = coeff * Cyc.root(4, b % 4)
-            if not coeff:
-                continue
+            coeff = coeff * Cyc.root(4, b - b0)
         key = (a, 0, c)
         v = out.get(key, 0) + coeff
         if v:

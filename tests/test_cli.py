@@ -141,7 +141,7 @@ def test_siegel_exports_certify_the_requested_box(monkeypatch, capsys):
         # the same product from an input built 48 numerators deeper
         deep = cli._siegel_object(argv[2], q + 48, s + 48)
         if argv[0] == "msym":
-            ref = siegel.ms_p(deep, int(argv[4]), cap=(q, s))
+            ref = siegel.ms_p(deep, int(argv[4]), q, s)
         else:
             ref = siegel.hecke_product_T2(deep, q, s)
         assert got.coeffs == ref.series.restricted((q, s)).coeffs, request
@@ -153,6 +153,12 @@ def test_siegel_exports_certify_the_requested_box(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "certified to numerator 96 in variable 0, short of the requested 120" in captured.err
+
+
+def test_siegel_restrict_at_half(capsys):
+    argv = "siegel restrict --form delta2 --alpha half --qmax 1 --smax 1".split()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == [[6, 0, 12, "2"]]
 
 
 def test_verify_boxes_do_not_depend_on_order(monkeypatch):

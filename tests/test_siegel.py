@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,7 +8,7 @@ from paramodular.lift import (SiegelExpansion, closed_form, lift_arith, lift_exp
                               lift_exp_of)
 from paramodular.qseries import ExactDivisionError, div_operands
 from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
-                                hecke_product_T2, involution_V, ms_p,
+                                hecke_product_T2_of, involution_V, ms_p_of,
                                 restrict_z, siegel_div, siegel_pow)
 
 B = 144
@@ -34,24 +35,21 @@ def test_siegel_div_remainder_raises():
 
 
 def test_ms2_delta1_equals_exp_of_tminus_image():
-    d1 = closed_form("delta1", B, B)
-    left = ms_p(d1, 2, cap=(B, B))
+    left = ms_p_of(partial(closed_form, "delta1"), 2, B, B)
     assert left.weight == 3 and left.level == 6
     right = lift_exp_of(lambda depth: hecke_image("tminus:2", "phi_0_3", depth), B, B)
-    assert left.series.restricted((B, B)).first_mismatch(right.series) is None
+    assert left.series.first_mismatch(right.series) is None
 
 
 def test_ms3_delta1_equals_exp_of_tminus_image():
-    d1 = closed_form("delta1", B, B)
-    left = ms_p(d1, 3, cap=(B, B))
+    left = ms_p_of(partial(closed_form, "delta1"), 3, B, B)
     right = lift_exp_of(lambda depth: hecke_image("tminus:3", "phi_0_3", depth), B, B)
-    assert left.series.restricted((B, B)).first_mismatch(right.series) is None
+    assert left.series.first_mismatch(right.series) is None
     assert left.series.is_rational()
 
 
 def test_ms2_delta2_is_theta_constant_pair():
-    d2f = closed_form("delta2", B, B)
-    left = ms_p(d2f, 2, cap=(B, B)).series.restricted((B, B))
+    left = ms_p_of(partial(closed_form, "delta2"), 2, B, B).series
     d5_4 = closed_form("delta5", B, 60).series.substitute_linear(
         ((Fraction(1), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
     dh2 = closed_form("delta_half", B, B).series.pow(2)
@@ -61,7 +59,7 @@ def test_ms2_delta2_is_theta_constant_pair():
 
 def test_ms2_delta5_over_delta2_squared_is_delta11():
     ms5, d2sq = div_operands(
-        lambda q, s: ms_p(closed_form("delta5", q, s), 2, cap=(q, s)),
+        lambda q, s: ms_p_of(partial(closed_form, "delta5"), 2, q, s),
         lambda q, s: siegel_pow(closed_form("delta2", q, s), 2), (B, B))
     quot = siegel_div(ms5, d2sq)
     d11 = lift_arith("eta21_theta2z", 1, B, B)
@@ -71,15 +69,15 @@ def test_ms2_delta5_over_delta2_squared_is_delta11():
 
 def test_ms_weight_bookkeeping():
     d1 = closed_form("delta1", 48, 48)
-    out = ms_p(d1, 2, cap=(48, 48))
+    out = ms_p_of(partial(closed_form, "delta1"), 2, 48, 48)
     assert out.weight == d1.weight * 3
-    out3 = ms_p(d1, 3, cap=(24, 24))
+    out3 = ms_p_of(partial(closed_form, "delta1"), 3, 24, 24)
     assert out3.weight == d1.weight * 4
 
 
 def test_hecke_product_T2_route_for_delta35():
     hp, d58 = div_operands(
-        lambda q, s: hecke_product_T2(closed_form("delta5", q, s), q, s),
+        lambda q, s: hecke_product_T2_of(partial(closed_form, "delta5"), q, s),
         lambda q, s: siegel_pow(closed_form("delta5", q, s), 8), (B, B))
     assert hp.series.is_rational()
     quot = siegel_div(hp, d58)
@@ -92,10 +90,10 @@ def test_hecke_product_T2_route_for_delta35():
 
 def test_hecke_product_constant_form():
     from paramodular.qseries import Series
-    one = SiegelExpansion(
-        Series(3, (24, 2, 24), {(0, 0, 0): 1}, (96, None, 96), (0, 0, 0)),
-        1, 0, closed_form("delta5", 48, 48).char.scaled(0), "x")
-    out = hecke_product_T2(one, 48, 48)
+    char = closed_form("delta5", 48, 48).char.scaled(0)
+    one = lambda q, s: SiegelExpansion(
+        Series(3, (24, 2, 24), {(0, 0, 0): 1}, (q, None, s), (0, 0, 0)), 1, 0, char, "x")
+    out = hecke_product_T2_of(one, 48, 48)
     assert dict(out.series.terms()) == {(0, 0, 0): 1}
 
 
@@ -125,6 +123,25 @@ def test_restriction_is_nonzero_elsewhere():
     F = closed_form("delta5", B, B)
     r = restrict_z(F, Fraction(1, 2))
     assert r.coeffs
+
+
+@pytest.mark.parametrize("name", ["delta2", "delta5"])
+def test_half_restriction_is_an_integer_sum(name):
+    # the sum over r of c(q, r, s) e(r/2), with e(b/4) = i^b summed as exact
+    # Gaussian integers (re, im): past one global phase, 1 or i, integers
+    F = closed_form(name, B, B)
+    sums = {}
+    for (a, b, c), coeff in F.series.terms():
+        re, im = sums.get((a, 0, c), (0, 0))
+        x, y = ((1, 0), (0, 1), (-1, 0), (0, -1))[b % 4]
+        sums[(a, 0, c)] = (re + coeff * x, im + coeff * y)
+    part = 0 if all(im == 0 for _, im in sums.values()) else 1
+    assert all(z[1 - part] == 0 for z in sums.values())
+    r = restrict_z(F, Fraction(1, 2))
+    assert r.is_rational()
+    assert r.coeffs == {k: z[part] for k, z in sums.items() if z[part]}
+    small = restrict_z(closed_form(name, 72, 48), Fraction(1, 2))
+    assert r.restricted((72, 48)).coeffs == small.coeffs
 
 
 def test_sigma_reflections_negate_singular_forms():

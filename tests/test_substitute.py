@@ -195,8 +195,8 @@ def reference_ms_p(F, p, cap):
 @pytest.mark.parametrize("name,p", [("delta1", 2), ("delta1", 3), ("delta2", 3),
                                     ("delta_half", 2)])
 def test_ms_p_integer_phases_match_fraction_phases(name, p):
-    F = closed_form(name, 24 * 3, 24 * 6)
-    got = ms_p(F, p, cap=(24 * 3, 24 * 6)).series
+    F = closed_form(name, 24 * 5, 24 * 8)
+    got = ms_p(F, p, 24 * 3, 24 * 6).series
     want = reference_ms_p(F, p, (24 * 3, 24 * 6))
     assert got.coeffs == want.coeffs and got.trunc == want.trunc
     assert got.coeffs
