@@ -196,17 +196,19 @@ def theta_series(qmax: int, a: int = 1) -> JacobiExpansion:
 
 def theta_product_form(qmax: int) -> Series:
     """Triple-product route: -q^(1/8) r^(-1/2) prod (1-q^(n-1) r)(1-q^n r^-1)(1-q^n)."""
-    acc = Series(2, QR_DENOMS, {(3, -1): -1}, (qmax, None), (3, -1))
-    n = 1
-    while 24 * (n - 1) <= qmax:
-        f1 = Series(2, QR_DENOMS, {(0, 0): 1, (24 * (n - 1), 2): -1}, (qmax, None), (0, 0))
-        acc = acc.mul(f1)
-        if 24 * n <= qmax:
-            f2 = Series(2, QR_DENOMS, {(0, 0): 1, (24 * n, -2): -1}, (qmax, None), (0, -2))
-            f3 = Series(2, QR_DENOMS, {(0, 0): 1, (24 * n, 0): -1}, (qmax, None), (0, 0))
-            acc = acc.mul(f2).mul(f3)
-        n += 1
-    return acc.restricted((qmax,))
+    return _product_form((3, -1), -1, ((1, -1, 2, -1), (1, 0, -2, -1), (1, 0, 0, -1)), qmax)
+
+
+def _product_form(lead, sign, rows, qmax: int) -> Series:
+    """The monomial ``sign`` at the (q, r) key ``lead`` times the product
+    over n >= 1 of the factors 1 + c q^(u n + v) r^(b/2), (u, v, b, c) in
+    ``rows``, taken in the order of n and then of ``rows``, complete to qmax."""
+    acc = Series(2, QR_DENOMS, {lead: sign}, (qmax, None), lead)
+    factors = (Series(2, QR_DENOMS, {(0, 0): 1, (24 * (u * n + v), b): c}, (qmax, None),
+                      (0, min(b, 0)))
+               for n in range(1, qmax // 24 + 2) for u, v, b, c in rows
+               if 24 * (u * n + v) <= qmax)
+    return acc.mul_factors(factors).restricted((qmax,))
 
 
 def theta32_series(qmax: int, a: int = 1) -> JacobiExpansion:
@@ -227,21 +229,8 @@ def theta32_series(qmax: int, a: int = 1) -> JacobiExpansion:
 
 def quintuple_product_form(qmax: int) -> Series:
     """q^(1/24) r^(-1/2) prod (1+q^(n-1)r)(1+q^n r^-1)(1-q^(2n-1)r^2)(1-q^(2n-1)r^-2)(1-q^n)."""
-    acc = Series(2, QR_DENOMS, {(1, -1): 1}, (qmax, None), (1, -1))
-    n = 1
-    while 24 * (n - 1) <= qmax:
-        fs = [{(0, 0): 1, (24 * (n - 1), 2): 1}]
-        if 24 * n <= qmax:
-            fs.append({(0, 0): 1, (24 * n, -2): 1})
-            fs.append({(0, 0): 1, (24 * n, 0): -1})
-        if 24 * (2 * n - 1) <= qmax:
-            fs.append({(0, 0): 1, (24 * (2 * n - 1), 4): -1})
-            fs.append({(0, 0): 1, (24 * (2 * n - 1), -4): -1})
-        for rows in fs:
-            fl = (0, min(b for (_, b) in rows))
-            acc = acc.mul(Series(2, QR_DENOMS, rows, (qmax, None), fl))
-        n += 1
-    return acc.restricted((qmax,))
+    return _product_form((1, -1), 1, ((1, -1, 2, 1), (1, 0, -2, 1), (1, 0, 0, -1),
+                                      (2, -1, 4, -1), (2, -1, -4, -1)), qmax)
 
 
 def eisenstein(k: int, qmax: int) -> JacobiExpansion:

@@ -370,13 +370,12 @@ class HeckeDescriptor:
     def image(self, name: str, qmax: int) -> JacobiExpansion:
         """The image of the catalog form ``name`` on q-numerators <= qmax,
         from the least input depth the operator certifies that box from.
-        A depth-24 build supplies the index that the depth rule reads."""
+        A depth-24 build supplies the index that the depth rule reads, and
+        :meth:`Series.certified` refuses an image short of qmax."""
         depth = _DEPTHS[self.kind](catalog(name, 24).index.numerator, self.param, qmax)
         out = self.apply(catalog(name, depth))
-        if out.qmax < qmax:
-            raise InsufficientBoxError(f"{self.kind} image certified to q-numerator "
-                                       f"{out.qmax}, short of the requested {qmax}")
-        return out.restricted(qmax)
+        return JacobiExpansion(out.series.certified((qmax,)), out.weight, out.index,
+                               out.char, out.kind)
 
     @classmethod
     def parse(cls, text: str) -> "HeckeDescriptor":

@@ -335,7 +335,9 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
     with 24A = sum f(0, l), 2B = sum_{l>0} l f(0, l), 24C = 6 sum l^2 f(0, l).
     Factors with negative q-exponent are rewritten as a monomial prefix
     times a factor in the inverse monomial, and the working box is widened
-    so the final box is complete.
+    so the final box is complete.  The factors are multiplied in on one
+    sliced accumulator by :meth:`Series.mul_factors`, and a result
+    certified short of the box is refused by :meth:`Series.certified`.
     """
     plan = _exp_plan(phi, qmax, smax)
     t, f0, Wq_work, Ws_work = plan.t, plan.f0, plan.Wq, plan.Ws
@@ -385,17 +387,9 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
 
     flist.sort(key=lambda x: (x[0] + max(x[2], 0), x[0], x[2], x[1]))
 
-    acc = rpart
-    for (dq, dl, ds, e) in flist:
-        fac = _factor_series(dq, dl, ds, e, Wq_work, Ws_work)
-        acc = acc.mul(fac, cap=(Wq_work, Ws_work))
-
-    result = acc.shift(plan.prefix, plan.sign)
-    result = result.restricted((qmax, smax))
-    if (result.trunc[0] is not None and result.trunc[0] < qmax) or \
-       (result.trunc[2] is not None and result.trunc[2] < smax):
-        raise InsufficientBoxError(
-            f"certified box {result.trunc} fell short of ({qmax}, {smax})")
+    acc = rpart.mul_factors((_factor_series(*f, Wq_work, Ws_work) for f in flist),
+                            cap=(Wq_work, Ws_work))
+    result = acc.shift(plan.prefix, plan.sign).certified((qmax, smax))
     weight = Fraction(f0.get(0, 0), 2)
     return SiegelExpansion(result, t, weight, plan.char, "exp-lift")
 

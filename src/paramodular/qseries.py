@@ -22,7 +22,7 @@ bounds the stored terms only, and no truncation bound reads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .cyclotomic import Cyc, as_rational_int
 
@@ -340,20 +340,7 @@ class Series:
         box (numerator units per bounded variable) to keep intermediates of
         long factor chains small."""
         a, b = self._aligned(other)
-        bv = bounded_vars(a.nvars)
-        trunc = list(_min_none(x, y) for x, y in zip(a.trunc, b.trunc))
-        for v in bv:
-            cands = []
-            if a.trunc[v] is not None:
-                cands.append(a.trunc[v] + b.floor[v])
-            if b.trunc[v] is not None:
-                cands.append(b.trunc[v] + a.floor[v])
-            trunc[v] = min(cands) if cands else None
-        if cap is not None:
-            for v, c in zip(bv, cap):
-                if c is not None:
-                    trunc[v] = _min_none(trunc[v], c)
-        floor = tuple(x + y for x, y in zip(a.floor, b.floor))
+        trunc, floor = _product_box(a.nvars, a.trunc, a.floor, b.trunc, b.floor, cap)
         if not a.coeffs or not b.coeffs:
             return Series(a.nvars, a.denoms, {}, trunc, floor)
 
@@ -377,7 +364,54 @@ class Series:
                     os = out_slices[(ks0, ks1)] = {}
                 _mul_into(os, pa, pb)
         coeffs = _unslice(a.nvars, out_slices)
-        return Series(a.nvars, a.denoms, coeffs, tuple(trunc), floor)
+        return Series(a.nvars, a.denoms, coeffs, trunc, floor)
+
+    def mul_factors(self, factors, cap=None) -> "Series":
+        """The chain ``self.mul(f, cap=cap)`` over ``factors`` in turn, on one
+        sliced accumulator (the ``(q, s) -> {r: c}`` groups of :meth:`_slices`).
+
+        Every factor has constant term 1, its other terms have (q, s) >= (0, 0)
+        lexicographically, and its denominators are self's.  A factor adds
+        its shifted copies of the accumulator into the slices in place,
+        source slices taken from the largest (q, s) down, so each is read
+        before any copy lands on it.  Each step's trunc and floor are those
+        of :meth:`mul`; copies past the trunc are skipped, and the slices
+        past it are dropped after the step."""
+        nv, zero = self.nvars, (0,) * self.nvars
+        trunc, floor = self.trunc, self.floor
+        slices = self._slices()
+        for fac in factors:
+            if fac.denoms != self.denoms or fac.coeffs.get(zero) != 1:
+                raise ValueError("factors need the same denominators and constant term 1")
+            fs = fac._slices()
+            del fs[(0, 0)][0]
+            shifts = sorted((k, list(p.items())) for k, p in fs.items() if p)
+            if shifts and shifts[0][0] < (0, 0):
+                raise ValueError("a factor term lies below (q, s) = (0, 0)")
+            trunc, floor = _product_box(nv, trunc, floor, fac.trunc, fac.floor, cap)
+            bq = inf if trunc[0] is None else trunc[0]
+            bs = inf if nv < 3 or trunc[2] is None else trunc[2]
+            # a source past (lq, ls) lands no copy inside the trunc
+            lq, ls = ((bq - shifts[0][0][0], bs - min(k[1] for k, _ in shifts))
+                      if shifts else (-inf, -inf))
+            sources = sorted((k for k in slices if k[0] <= lq and k[1] <= ls), reverse=True)
+            for q, s in sources:
+                src = list(slices[(q, s)].items())
+                for (dq, ds), pf in shifts:
+                    kq, ks = q + dq, s + ds
+                    if kq > bq:
+                        break
+                    if ks > bs:
+                        continue
+                    out = slices.get((kq, ks))
+                    if out is None:
+                        out = slices[(kq, ks)] = {}
+                    _mul_into(out, src, pf)
+                    if not out:
+                        del slices[(kq, ks)]
+            for k in [k for k in slices if k[0] > bq or k[1] > bs]:
+                del slices[k]
+        return Series(nv, self.denoms, _unslice(nv, slices), trunc, floor)
 
     def __mul__(self, other):
         if isinstance(other, (int, Cyc)):
@@ -700,6 +734,20 @@ def div_operands(numerator, divisor, box):
     if any(d.trunc[v] is not None and d.trunc[v] < n for v, n in zip(bv, need)):
         den = divisor(*need)
     return num, den
+
+
+def _product_box(nvars, ta, fa, tb, fb, cap=None):
+    """(trunc, floor) of a product of operands with truncs ``ta``, ``tb`` and
+    floors ``fa``, ``fb``: in each bounded variable the lesser of each
+    trunc plus the other operand's floor, intersected with ``cap``."""
+    trunc = [_min_none(x, y) for x, y in zip(ta, tb)]
+    bv = bounded_vars(nvars)
+    for v in bv:
+        trunc[v] = _min_none(None if ta[v] is None else ta[v] + fb[v],
+                             None if tb[v] is None else tb[v] + fa[v])
+    for v, c in zip(bv, cap or ()):
+        trunc[v] = _min_none(trunc[v], c)
+    return tuple(trunc), tuple(x + y for x, y in zip(fa, fb))
 
 
 def _coeff_div(c, d):

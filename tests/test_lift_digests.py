@@ -3,15 +3,18 @@
 Each digest is a sha256 over an object's sorted coefficients, ``trunc``,
 ``floor``, level, weight and character.  ``lift_digests.json`` pins the
 seven closed forms at five box shapes (q- and s-exponents, q != s
-included) and both lifts of every registry pair at box 4.  To re-record
-it, at a commit whose outputs are taken as right:
+included), both lifts of every registry pair at box 4, and the exp lifts
+at box 6.  To re-record it, at a commit whose outputs are taken as right:
 
     PYTHONPATH=src python tests/test_lift_digests.py
 """
 
 import hashlib
 import json
+from functools import cache
 from pathlib import Path
+
+import pytest
 
 from paramodular.lift import closed_form, lift_arith, lift_exp
 
@@ -23,11 +26,18 @@ CLOSED_NAMES = ("delta5", "delta2", "delta1", "delta_half", "d_half", "d1", "d2"
 EXP_NAMES = ("phi_0_1", "phi_0_2", "phi_0_3", "phi_0_4", "phi_0_36", "phi_0_9",
              "phi_0_18", "phi_0_3_6", "phi_0_2_11", "phi_0_5", "phi_0_5_alt",
              "phi_0_6_a", "phi_0_6_b", "phi_0_7", "phi_0_10")
+# every exp lift that the benchmark exports
+EXP6_NAMES = EXP_NAMES + ("phi_0_6_c",)
 ARITH_NAMES = ("eta9_theta", "eta3_theta", "eta1_theta", "eta3_theta32",
                "eta1_theta32", "eta11_theta32", "eta21_theta2z",
                "eta3_theta6_theta2z", "eta6_theta_theta2z", "eta3_theta2_theta2z",
                "eta5_theta2z", "theta3_theta2z", "theta_theta2z")
 LIFT_BOX = 4
+
+
+@cache
+def exp_at(name: str, box: int):
+    return lift_exp(name, 24 * box, 24 * box)
 
 
 def digest(F) -> str:
@@ -52,7 +62,9 @@ def objects():
                                             closed_form(n, 24 * q, 24 * s))
     b = 24 * LIFT_BOX
     for name in EXP_NAMES:
-        yield f"exp {name} {LIFT_BOX}", lambda n=name: lift_exp(n, b, b)
+        yield f"exp {name} {LIFT_BOX}", lambda n=name: exp_at(n, LIFT_BOX)
+    for name in EXP6_NAMES:
+        yield f"exp {name} 6", lambda n=name: exp_at(n, 6)
     for name in ARITH_NAMES:
         yield f"arith {name} {LIFT_BOX}", lambda n=name: lift_arith(n, 1, b, b)
 
@@ -63,6 +75,16 @@ def test_lift_outputs_match_recorded_digests():
     assert sorted(got) == sorted(want)
     bad = [label for label in got if got[label] != want[label]]
     assert not bad, bad
+
+
+@pytest.mark.parametrize("name", EXP6_NAMES)
+def test_exp_lifts_agree_across_boxes(name):
+    small, big = exp_at(name, LIFT_BOX), exp_at(name, 6)
+    for F, box in ((small, 24 * LIFT_BOX), (big, 144)):
+        F.series.check().certified((box, box))
+    assert big.series.restricted(small.series.trunc[::2]).coeffs == small.series.coeffs
+    assert ((big.level, big.weight, big.char)
+            == (small.level, small.weight, small.char))
 
 
 if __name__ == "__main__":

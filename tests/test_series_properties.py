@@ -5,6 +5,7 @@ its terms past ``trunc`` are dropped from storage but stay in the naive
 product the kernel is checked against on the box it certifies.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from paramodular.chars import CharacterTag
@@ -104,3 +105,48 @@ def test_involution_V_is_an_involution(data, t):
     back.check()
     assert (back.coeffs, back.trunc) == (a.coeffs, a.trunc)
     assert [back.floor[v] for v in (0, 2)] == [a.floor[v] for v in (0, 2)]
+
+
+@st.composite
+def binomial_factor(draw, nv, wq, ws):
+    """(1 - x)^e, e in [-3, 3] \\ {0}, cut to the working box (wq, ws) as
+    ``lift._factor_series`` cuts it: x = q^dq r^dl s^ds with dq > 0, with
+    dq = 0 < ds, with dq > 0 > ds (the rewritten rows of ``exp_lift``), or
+    a pure r-step x = r^dl raised to e > 0 (the theta products)."""
+    shapes = [st.tuples(st.integers(1, 4), st.just(0))]
+    if nv == 3:
+        shapes += [st.tuples(st.just(0), st.integers(1, 4)),
+                   st.tuples(st.integers(1, 4), st.integers(-4, -1))]
+    r_step = draw(st.booleans())
+    dq, ds = (0, 0) if r_step else draw(st.one_of(shapes))
+    dl = draw(st.integers(-3, 3).filter(bool) if r_step else st.integers(-3, 3))
+    e = draw(st.integers(1, 3) if r_step else st.integers(-3, 3).filter(bool))
+    kmax = min([w // d for w, d in ((wq, dq), (ws, ds)) if d > 0] or [e])
+    terms, c = [], 1
+    for k in range(kmax + 1):
+        terms.append(((k * dq, k * dl, k * ds)[:nv], c))
+        c = c * -(e - k) // (k + 1)
+    trunc = (wq, None, ws if ds >= 0 else None)[:nv]
+    floor = (0, min(0, kmax * dl), min(0, kmax * ds))[:nv]
+    return Series.from_terms(nv, DENOMS[nv], terms, trunc, floor)
+
+
+@PROPS
+@given(st.data(), st.sampled_from((2, 3)))
+def test_mul_factors_is_the_mul_chain(data, nv):
+    acc, _ = data.draw(operand(nv))
+    # one working box for the chain, as in exp_lift
+    wq, ws = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    factors = data.draw(st.lists(binomial_factor(nv, wq, ws), min_size=1, max_size=5))
+    cap = data.draw(st.none() | st.tuples(*[st.integers(0, 12)] * len(bounded_vars(nv))))
+    want = acc
+    for f in factors:
+        want = want.mul(f, cap=cap)
+    same(acc.mul_factors(factors, cap=cap).check(), want)
+
+
+def test_mul_factors_refuses_other_denominators_and_constants():
+    one = Series.one(2, DENOMS[2])
+    for bad in (Series.one(2, (48, 2)), one.scale(2)):
+        with pytest.raises(ValueError):
+            one.mul_factors([bad])
