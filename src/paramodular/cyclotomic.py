@@ -2,8 +2,10 @@
 
 Elements are residues modulo the n-th cyclotomic polynomial, with a
 canonical coordinate vector of length phi(n) = deg Phi_n.  Orders are
-arbitrary small integers (phases of symmetrisation products, Gauss sums,
-theta-coset products and half-period restrictions all live in n <= 24).
+arbitrary small integers.  The operators never need them (a product of
+twisted copies is an integer norm, see ``qseries.twisted_norm``); the
+brute-force oracles of the tests compute in Z[zeta_n] with them, and
+``Series`` arithmetic accepts them as coefficients.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
-from .cyclotomic import Cyc
 from .forms import QR_DENOMS, JacobiExpansion, catalog
 from .qseries import InsufficientBoxError, Series
 
@@ -118,19 +117,6 @@ def gauss_sum(p: int, n: int, l: int, t: int) -> int:
     if n % p == 0:
         return p * (p - 1)
     return -p
-
-
-def gauss_sum_bruteforce(p: int, n: int, l: int, t: int) -> int:
-    """-p + sum over a, b mod p of e((n a + l a b + t a b^2)/p), evaluated
-    exactly in Z[zeta_p]."""
-    acc = 0
-    for a in range(p):
-        for b in range(p):
-            acc = acc + Cyc.root(p, (n * a + l * a * b + t * a * b * b) % p)
-    val = acc - p
-    if isinstance(val, Cyc):
-        return val.rational()
-    return val
 
 
 def _weak_l_bound(t: int, n: int) -> int:

@@ -3,9 +3,10 @@
 A :class:`Series` holds finitely many terms of a formal expansion in one,
 two or three variables (conventionally q, r, s).  Exponents are rational
 with a fixed denominator per variable, so a term is keyed by its tuple of
-integer numerators.  Coefficients are arbitrary-precision ints, or
-:class:`~paramodular.cyclotomic.Cyc` values while root-of-unity phases are
-in play.
+integer numerators.  Coefficients are arbitrary-precision ints; the arithmetic
+also accepts :class:`~paramodular.cyclotomic.Cyc` values.  A product of
+copies of one series twisted by p-th roots of unity is an integer norm of
+its class components (:func:`twisted_norm`), so no operator needs them.
 
 Truncation is a contract, not a storage limit: ``trunc[v]`` is the largest
 numerator of the bounded variable ``v`` up to which the stored terms are
@@ -22,7 +23,9 @@ bounds the stored terms only, and no truncation bound reads it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf
+from operator import add
 
 from .cyclotomic import Cyc, as_rational_int
 
@@ -237,17 +240,6 @@ class Series:
         else:
             g = key[0]
         return (g,) + key
-
-    def is_rational(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs.values())
-
-    def rationalized(self) -> "Series":
-        """Collapse Cyc coefficients to ints; error on irrational residue."""
-        if self.is_rational():
-            return self
-        coeffs = {k: as_rational_int(c) for k, c in self.coeffs.items()}
-        coeffs = {k: c for k, c in coeffs.items() if c}
-        return Series(self.nvars, self.denoms, coeffs, self.trunc, self.floor)
 
     # ------------------------------------------------------------------
     # linear structure
@@ -555,17 +547,15 @@ class Series:
     # ------------------------------------------------------------------
     # exponent substitution
 
-    def substitute_linear(self, matrix, phase=None, denoms=None,
+    def substitute_linear(self, matrix, denoms=None,
                           new_trunc=None, new_floor=None) -> "Series":
-        """Map each monomial c*x^e to c*phase(key)*x^(M e).
+        """Map each monomial c*x^e to c*x^(M e).
 
         ``matrix`` is an nvars x nvars array of rationals acting on actual
         exponent vectors; the image keys are numerators over ``denoms``
         (default: the source denominators).  The map runs on the integer
         kernel of :func:`exponent_map`, so no Fraction is built per term;
-        an image off the lattice raises ValueError.  ``phase``, if given,
-        receives the source key and returns an int or a
-        :class:`~paramodular.cyclotomic.Cyc`, all of a single order.
+        an image off the lattice raises ValueError.
 
         When the matrix does not move r-content into the bounded variables
         and has nonnegative bounded-variable block, the result box is
@@ -585,10 +575,6 @@ class Series:
             if key is None:
                 raise ValueError(f"image of exponent key {k} leaves the lattice "
                                  f"over denominators {denoms}")
-            if phase is not None:
-                c = c * phase(k)
-                if not c:
-                    continue
             v = coeffs.get(key, 0) + c
             if v:
                 coeffs[key] = v
@@ -734,6 +720,35 @@ def div_operands(numerator, divisor, box):
     if any(d.trunc[v] is not None and d.trunc[v] < n for v, n in zip(bv, need)):
         den = divisor(*need)
     return num, den
+
+
+def _mobius(n: int) -> int:
+    return 1 if n == 1 else -sum(_mobius(d) for d in range(1, n) if n % d == 0)
+
+
+def twisted_norm(parts, cap=None) -> Series:
+    """The product over b mod p of sum_j zeta_p^(j b) parts[j], p = len(parts),
+    in integer arithmetic.
+
+    In Series[x]/(x^p - 1) it forms P = prod_b g(x^b), g = sum_j parts[j] x^j,
+    each product capped as :meth:`Series.mul` caps it.  P is fixed by
+    x -> x^a for every a prime to p, so its coefficient P_e depends only on
+    gcd(e, p); as the primitive m-th roots of unity sum to mu(m), P(zeta_p)
+    is the sum over d | p of mu(p/d) P_d.  The parts share their
+    denominators and each carries the trunc and floor of the whole series,
+    as its class components do.
+    """
+    p = len(parts)
+    acc = {0: reduce(add, parts)}
+    for b in range(1, p):
+        nxt = {}
+        for e, x in acc.items():
+            for j, part in enumerate(parts):
+                y, k = x.mul(part, cap=cap), (e + j * b) % p
+                nxt[k] = nxt[k] + y if k in nxt else y
+        acc = nxt
+    return reduce(add, [acc[d % p].scale(_mobius(p // d))
+                        for d in range(1, p + 1) if p % d == 0])
 
 
 def _product_box(nvars, ta, fa, tb, fb, cap=None):

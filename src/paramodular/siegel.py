@@ -10,13 +10,12 @@ anti-invariance checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial, reduce
 from itertools import count
 from math import isqrt
 
-from .cyclotomic import Cyc
 from .lift import QRS_DENOMS, SiegelExpansion
-from .qseries import InsufficientBoxError, Series, exponent_map
+from .qseries import InsufficientBoxError, Series, exponent_map, twisted_norm
 
 
 def siegel_div(a: SiegelExpansion, b: SiegelExpansion) -> SiegelExpansion:
@@ -31,22 +30,18 @@ def siegel_pow(a: SiegelExpansion, e: int) -> SiegelExpansion:
                            a.char.scaled(e), "quotient")
 
 
-def phase_root(omega: Fraction):
-    """exp(2 pi i omega) as an exact root of unity (int or Cyc)."""
-    omega = Fraction(omega)
-    num = omega.numerator % omega.denominator
-    den = omega.denominator
-    return Cyc.root(den, num)
-
-
-@lru_cache(maxsize=None)
-def _root_of(num: int, den: int):
-    return phase_root(Fraction(num, den))
-
-
-def _phase(num: int, den: int):
-    """exp(2 pi i num/den), memoised by the residue of num modulo den."""
-    return _root_of(num % den, den)
+def _classes(ser: Series, p: int, rel, den: int) -> list:
+    """``ser`` split by the class rel(key)/den mod p of its keys, each part
+    with the trunc and floor of ``ser``; a key whose class is not an integer
+    raises ValueError."""
+    parts = [{} for _ in range(p)]
+    for k, c in ser.coeffs.items():
+        j, off = divmod(rel(k), den)
+        if off:
+            raise ValueError(f"exponent key {k} has no integer class mod {p}: "
+                             f"its phase is no power of zeta_{p}")
+        parts[j % p][k] = c
+    return [Series(ser.nvars, ser.denoms, d, ser.trunc, ser.floor) for d in parts]
 
 
 def _planned(build, rule, qmax: int, smax: int) -> SiegelExpansion:
@@ -70,43 +65,41 @@ def _ms_box(p: int, trunc, floor):
 def ms_p(F: SiegelExpansion, p: int, qmax: int, smax: int) -> SiegelExpansion:
     """Multiplicative symmetrisation: the product of F at (tau, p z, p^2 w)
     with the p translates of F in w by 1/(tp); the result carries level tp
-    and weight (p+1) times the weight.  Root-of-unity phases are handled in
-    Z[zeta_p] (plain signs for p = 2) and the result must come out rational.
+    and weight (p+1) times the weight.  The translates differ by p-th roots
+    of unity on the s-classes of F, and their product is the integer norm
+    of those classes (:func:`~paramodular.qseries.twisted_norm`).
 
     Certified on q <= Tq + p fq, s <= (p + p^2) fs + min(Ts - fs, p^2 (Ts - fs))
     for an input box (Tq, Ts) and floor (fq, fs) (``_ms_box``), and refused
     when short of (qmax, smax); ``ms_p_of`` plans the input.
     """
+    if p < 1:
+        raise ValueError(f"the symmetrisation needs p >= 1, not {p}")
     t = F.level
     ser = F.series
     # factor (i): exponents (q, p r, p^2 s)
-    m_scale = ((1, 0, 0), (0, p, 0), (0, 0, p * p))
-    fac_i = ser.substitute_linear(m_scale)
+    fac_i = ser.substitute_linear(((1, 0, 0), (0, p, 0), (0, 0, p * p)))
 
     # factor (ii): prod over b mod p of F(w + b/(tp)); a term s^gamma picks
     # up e(gamma b/(tp)).  The s-exponents of a level-t expansion differ by
-    # multiples of t, so relative to the lowest exponent gamma_0 the phases
-    # are p-th roots of unity; the constant e(gamma_0 b/(tp)) per factor is
-    # a global root of unity absorbed by the normalization convention.
-    # Over s-numerators n (gamma = n/24) with t = u/v, the phase is
-    # e((n - n_0) b v / (24 p u)), an integer over an integer modulus.
+    # multiples of t, so relative to the floor gamma_0 the phase is
+    # zeta_p^(j b) with the class j = (gamma - gamma_0)/t; the constant
+    # e(gamma_0 b/(tp)) per factor is a global root of unity absorbed by the
+    # normalization convention.  Over s-numerators n (gamma = n/24) with
+    # t = u/v, j = (n - n_0) v / (24 u).
     u, v, s0 = t.numerator, t.denominator, ser.floor[2]
-    acc = ser
-    for b in range(1, p):
-        fb = ser.substitute_linear(
-            _ID3, phase=lambda k, m=b * v: _phase((k[2] - s0) * m, 24 * p * u))
-        acc = acc.mul(fb, cap=(qmax, smax))
-    out = fac_i.mul(acc, cap=(qmax, smax)).rationalized().certified((qmax, smax))
+    fac_ii = twisted_norm(_classes(ser, p, lambda k: (k[2] - s0) * v, 24 * u),
+                          cap=(qmax, smax))
+    out = fac_i.mul(fac_ii, cap=(qmax, smax)).certified((qmax, smax))
     return SiegelExpansion(out, t * p, F.weight * (p + 1), F.char.scaled(p + 1),
                            "symmetrisation")
 
 
 def ms_p_of(build, p: int, qmax: int, smax: int) -> SiegelExpansion:
     """``ms_p`` of ``build(Q, S)`` at the least box ``_ms_box`` allows."""
+    if p < 1:
+        raise ValueError(f"the symmetrisation needs p >= 1, not {p}")
     return ms_p(_planned(build, partial(_ms_box, p), qmax, smax), p, qmax, smax)
-
-
-_ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _family5_box(tq: int, ts: int):
@@ -131,9 +124,13 @@ def _t2_box(trunc, floor):
 
 def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansion:
     """Multiplicative Hecke product over the fifteen degree-2 cosets for a
-    level-1 expansion, as the literal product of the fifteen substituted
-    copies of F (automorphy scalars are constants per coset and surface in
-    the logged proportionality constant of the identities that use this).
+    level-1 expansion: the product of the fifteen substituted copies of F
+    (automorphy scalars are constants per coset and surface in the logged
+    proportionality constant of the identities that use this).  The copies
+    of a family differ by signs on classes of F, so each family is an
+    integer norm of class components
+    (:func:`~paramodular.qseries.twisted_norm`); an input whose relative
+    phases are not signs is refused with ValueError.
 
     Certified on the box ``_t2_box`` gives, and refused when short of
     (qmax, smax); ``hecke_product_T2_of`` plans the input.
@@ -141,63 +138,55 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     if F.level != 1:
         raise ValueError("the printed coset list is for level one")
     ser = F.series
-    half = Fraction(1, 2)
-    fq, fr, fs = ser.floor
-    factors = []
-    # halving maps leave the (24, 2, 24) exponent lattice; intermediates
-    # live over (48, 4, 48) and the assembled product is coarsened back
-    fine = (48, 4, 48)
-
-    # phases are normalized at a base support key: relative phases on a
-    # theta-type integral lattice are signs, and the global root of unity
-    # split off per coset is absorbed by the identities' logged constants
-    base_key = ser.min_key() or (0, 0, 0)
-
-    def phased(mat, shift=(0, 0, 0), trunc=None, floor=None):
-        """The substituted copy with phase e(shift . (key - base_key) / 48)
-        on source keys over (24, 2, 24): translating (tau, z, w) by
-        (a, b, c)/2 multiplies q^(k0/24) r^(k1/2) s^(k2/24) by
-        e((a k0 + 12 b k1 + c k2) / 48), i.e. shift = (a, 12 b, c)."""
-        phase = None
-        if any(shift):
-            h0, h1, h2 = shift
-            e0 = h0 * base_key[0] + h1 * base_key[1] + h2 * base_key[2]
-            phase = lambda k: _phase(h0 * k[0] + h1 * k[1] + h2 * k[2] - e0, 48)
-        return ser.substitute_linear(
-            mat, phase=phase, denoms=fine, new_trunc=trunc, new_floor=floor)
-
-    # family 1: (tau+a)/2, (z+b)/2, (w+c)/2  for a,b,c in {0,1}
-    m1 = ((half, 0, 0), (0, half, 0), (0, 0, half))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                factors.append(phased(m1, (a, 12 * b, c)))
-    # family 2: (tau+a)/2, z, 2w
-    m2 = ((half, 0, 0), (0, 1, 0), (0, 0, 2))
-    for a in range(2):
-        factors.append(phased(m2, (a, 0, 0)))
-    # family 3: 2 tau, z, (w+a)/2
-    m3 = ((2, 0, 0), (0, 1, 0), (0, 0, half))
-    for a in range(2):
-        factors.append(phased(m3, (0, 0, a)))
-    # family 4: 2 tau, 2 z, 2 w
-    m4 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    factors.append(phased(m4))
-    # family 5: 2 tau, -tau + z, (tau - 2z + w + b)/2, a mixed map that
-    # needs the explicit box of ``_family5_box``
-    m5 = ((2, -1, half), (0, 1, -1), (0, 0, half))
     Tq, Ts = ser.trunc[0], ser.trunc[2]
     if Tq is None or Ts is None:
         raise InsufficientBoxError("the coset product needs a finitely truncated input")
+    half = Fraction(1, 2)
+    _, fr, fs = ser.floor
+    # halving maps leave the (24, 2, 24) exponent lattice; intermediates
+    # live over (48, 4, 48) and the assembled product is coarsened back
+    fine, cap = (48, 4, 48), (2 * qmax, 2 * smax)
+
+    # translating (tau, z, w) by (a, b, c)/2 multiplies q^(k0/24) r^(k1/2)
+    # s^(k2/24) by e((a k0 + 12 b k1 + c k2) / 48).  Phases are normalized
+    # at a base support key B: on a theta-type integral lattice the relative
+    # phases are signs, the class of a key in variable v is its exponent
+    # past B's mod 2, and the global root of unity split off per coset is
+    # absorbed by the identities' logged constants
+    base = ser.min_key() or (0, 0, 0)
+
+    def classes(g, v, b):
+        return _classes(g, 2, lambda k: k[v] - b[v], g.denoms[v])
+
+    def norm(mat, v, trunc=None, floor=None):
+        """The two copies of a family translated in variable v, as one norm."""
+        return twisted_norm([x.substitute_linear(mat, denoms=fine, new_trunc=trunc,
+                                                 new_floor=floor)
+                             for x in classes(ser, v, base)], cap)
+
+    # family 1: (tau+a)/2, (z+b)/2, (w+c)/2 for a, b, c in {0, 1}, one norm
+    # per variable before the halving map, as that map keeps numerators
+    # (so the cap reads the same over either denominators); a norm's terms
+    # are products of two, so step i classes past 2^i B
+    g = ser
+    for v in range(3):
+        g = twisted_norm(classes(g, v, [x << v for x in base]), cap)
+    factors = [g.substitute_linear(((half, 0, 0), (0, half, 0), (0, 0, half)),
+                                   denoms=fine)]
+    # family 2: (tau+a)/2, z, 2w; family 3: 2 tau, z, (w+a)/2
+    factors.append(norm(((half, 0, 0), (0, 1, 0), (0, 0, 2)), 0))
+    factors.append(norm(((2, 0, 0), (0, 1, 0), (0, 0, half)), 2))
+    # family 4: 2 tau, 2 z, 2 w
+    factors.append(ser.substitute_linear(((2, 0, 0), (0, 2, 0), (0, 0, 2)), denoms=fine))
+    # family 5: 2 tau, -tau + z, (tau - 2z + w + b)/2, a mixed map that
+    # needs the explicit box of ``_family5_box``
     t5q, t5s = _family5_box(Tq, Ts)
     floor5 = (0, 2 * (fr - fs), 2 * (fs // 2))  # q-floor 0 from the support cone
-    for b in range(2):
-        factors.append(phased(m5, (0, 0, b), trunc=(t5q, None, t5s), floor=floor5))
+    factors.append(norm(((2, -1, half), (0, 1, -1), (0, 0, half)), 2,
+                        trunc=(t5q, None, t5s), floor=floor5))
 
-    out = None
-    for f in factors:
-        out = f if out is None else out.mul(f, cap=(2 * qmax, 2 * smax))
-    out = out.rationalized().coarsened(QRS_DENOMS).certified((qmax, smax))
+    out = reduce(lambda x, y: x.mul(y, cap=cap), factors)
+    out = out.coarsened(QRS_DENOMS).certified((qmax, smax))
     return SiegelExpansion(out, 1, F.weight * 15, F.char.scaled(15), "hecke-product")
 
 
@@ -233,7 +222,10 @@ def restrict_z(F: SiegelExpansion, alpha) -> Series:
     out = {}
     for (a, b, c), coeff in F.series.terms():
         if alpha:
-            coeff = coeff * Cyc.root(4, b - b0)
+            half, odd = divmod(b - b0, 2)
+            if odd:
+                raise ValueError("r-numerators of both parities have no sign weights")
+            coeff = -coeff if half % 2 else coeff
         key = (a, 0, c)
         v = out.get(key, 0) + coeff
         if v:

@@ -11,13 +11,15 @@ from math import gcd
 import pytest
 
 from paramodular.forms import catalog
-from paramodular.hecke import (gauss_sum, gauss_sum_bruteforce, lambda_star,
-                               t0, t_minus_weight0, t_plus_1_4, t_plus_2)
+from paramodular.hecke import (gauss_sum, lambda_star, t0, t_minus_weight0,
+                               t_plus_1_4, t_plus_2)
 from paramodular.identities import verify
 from paramodular.kmroots import (CASE_FORMS, build_datum, case_ids,
                                  lie_expansion_check)
 from paramodular.lift import (closed_form, divisor_multiplicity,
                               lemma22_checksum, lift_arith, lift_exp, vt_parity)
+
+from oracles import gauss_sum_bruteforce
 
 B = 144  # q,s <= 6 in exponent units
 

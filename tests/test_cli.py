@@ -247,6 +247,15 @@ def test_unknown_ids_exit_usage(capsys):
     assert main(["lift", "closed", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_msym_refuses_p_below_one(capsys, p):
+    argv = ["siegel", "msym", "--form", "delta1", "--p", p, "--qmax", "1", "--smax", "1"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p >= 1" in captured.err
+
+
 def test_output_flags_a_command_ignores_are_refused(capsys):
     # verify prints a table or --json; lie-check prints one line
     assert main(["verify", "eq3.16", "--qmax", "1", "--smax", "1", "--csv"]) == EXIT_USAGE

@@ -2,11 +2,12 @@ import pytest
 
 from paramodular import hecke
 from paramodular.forms import catalog, eta_power, theta_series
-from paramodular.hecke import (HeckeDescriptor, gauss_sum, gauss_sum_bruteforce,
-                               lambda_op, lambda_star, t0, t0_norm_formula,
-                               t_minus_char, t_minus_weight0, t_plus_1_4,
-                               t_plus_2)
+from paramodular.hecke import (HeckeDescriptor, gauss_sum, lambda_op, lambda_star,
+                               t0, t0_norm_formula, t_minus_char, t_minus_weight0,
+                               t_plus_1_4, t_plus_2)
 from paramodular.qseries import InsufficientBoxError
+
+from oracles import gauss_sum_bruteforce
 
 B = 24 * 40
 

@@ -107,13 +107,6 @@ def test_substitute_doubling():
     assert doubled.index == 2
 
 
-def test_substitute_zero_shift_phase_is_identity():
-    th = theta_series(96).series
-    mat = ((Fraction(1), 0), (0, Fraction(1)))
-    out = th.substitute_linear(mat, phase=lambda k: Cyc.root(5, 0))
-    assert out.first_mismatch(th) is None
-
-
 def test_substitute_requires_lattice():
     th = theta_series(96).series
     mat = ((Fraction(1, 5), 0), (0, Fraction(1)))

@@ -14,6 +14,10 @@ from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
 B = 144
 
 
+def integral(ser):
+    return all(isinstance(c, int) for c in ser.coeffs.values())
+
+
 def test_siegel_mul_and_self_division():
     d1 = closed_form("delta1", B, B)
     sq = siegel_pow(d1, 2)
@@ -45,7 +49,7 @@ def test_ms3_delta1_equals_exp_of_tminus_image():
     left = ms_p_of(partial(closed_form, "delta1"), 3, B, B)
     right = lift_exp_of(lambda depth: hecke_image("tminus:3", "phi_0_3", depth), B, B)
     assert left.series.first_mismatch(right.series) is None
-    assert left.series.is_rational()
+    assert integral(left.series)
 
 
 def test_ms2_delta2_is_theta_constant_pair():
@@ -79,7 +83,7 @@ def test_hecke_product_T2_route_for_delta35():
     hp, d58 = div_operands(
         lambda q, s: hecke_product_T2_of(partial(closed_form, "delta5"), q, s),
         lambda q, s: siegel_pow(closed_form("delta5", q, s), 8), (B, B))
-    assert hp.series.is_rational()
+    assert integral(hp.series)
     quot = siegel_div(hp, d58)
     assert quot.weight == 35
     d35 = lift_exp("phi_0_1_t02m2", B, B)
@@ -138,7 +142,7 @@ def test_half_restriction_is_an_integer_sum(name):
     part = 0 if all(im == 0 for _, im in sums.values()) else 1
     assert all(z[1 - part] == 0 for z in sums.values())
     r = restrict_z(F, Fraction(1, 2))
-    assert r.is_rational()
+    assert integral(r)
     assert r.coeffs == {k: z[part] for k, z in sums.items() if z[part]}
     small = restrict_z(closed_form(name, 72, 48), Fraction(1, 2))
     assert r.restricted((72, 48)).coeffs == small.coeffs

@@ -1,6 +1,8 @@
 """Differential test of the integer exponent-map kernel behind
-``Series.substitute_linear`` against a per-term Fraction reference."""
+``Series.substitute_linear`` against a per-term Fraction reference, and of
+``ms_p`` against the product of its twisted copies in Z[zeta_p]."""
 
+import cmath
 from fractions import Fraction
 from math import lcm
 
@@ -8,10 +10,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paramodular.cyclotomic import Cyc
+from paramodular.cyclotomic import Cyc, as_rational_int
 from paramodular.lift import closed_form
 from paramodular.qseries import Series, bounded_vars
-from paramodular.siegel import _ID3, ms_p, phase_root
+from paramodular.siegel import ms_p
+
+_ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def phase_root(omega):
+    """exp(2 pi i omega) as an exact root of unity (int or Cyc)."""
+    omega = Fraction(omega)
+    return Cyc.root(omega.denominator, omega.numerator % omega.denominator)
 
 
 def reference_substitute(ser, matrix, phase=None, denoms=None,
@@ -156,21 +166,6 @@ def test_explicit_box_matches_reference(nv, data):
             == outcome(lambda: reference_substitute(ser, M, **kw)))
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("nv", [2, 3])
-@SETTINGS
-@given(data=st.data())
-def test_phased_path_matches_reference(p, nv, data):
-    ser = data.draw(series(nv))
-    M = data.draw(scaling(nv))
-    denoms = data.draw(target_denoms(ser))
-    w = data.draw(st.tuples(*[st.integers(0, p - 1)] * nv))
-    phase = lambda k: Cyc.root(p, sum(a * x for a, x in zip(w, k)))
-    kw = dict(phase=phase, denoms=denoms)
-    assert (outcome(lambda: ser.substitute_linear(M, **kw))
-            == outcome(lambda: reference_substitute(ser, M, **kw)))
-
-
 def test_off_lattice_and_mixing_raise_value_error():
     ser = Series.from_terms(3, (24, 2, 24), [((1, 1, 2), 1), ((24, 0, 24), 2)],
                             (48, None, 48))
@@ -180,16 +175,31 @@ def test_off_lattice_and_mixing_raise_value_error():
         ser.substitute_linear(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def reference_ms_p(F, p, cap):
-    """ms_p with its translation phases computed as Fractions."""
+def float_root(omega):
+    """exp(2 pi i omega) as a complex float."""
+    return cmath.exp(2j * cmath.pi * Fraction(omega))
+
+
+def float_int(c):
+    """The integer a complex float product of twisted copies rounds to."""
+    assert abs(c.imag) < 1e-6 and abs(c.real - round(c.real)) < 1e-6, c
+    return round(c.real)
+
+
+def reference_ms_p(F, p, cap, root=phase_root, to_int=as_rational_int):
+    """ms_p with its translation phases computed as Fractions, as exact roots
+    of unity or, for orders a ``Cyc`` chain cannot mix, as complex floats."""
     ser, t = F.series, F.level
     gamma0 = Fraction(ser.floor[2], 24)
     acc = ser
     for b in range(1, p):
-        phase = lambda k, b=b: phase_root((Fraction(k[2], 24) - gamma0) * b / (t * p))
+        phase = lambda k, b=b: root((Fraction(k[2], 24) - gamma0) * b / (t * p))
         acc = acc.mul(reference_substitute(ser, _ID3, phase=phase), cap=cap)
     fac_i = reference_substitute(ser, ((1, 0, 0), (0, p, 0), (0, 0, p * p)))
-    return fac_i.mul(acc, cap=cap).rationalized()
+    out = fac_i.mul(acc, cap=cap)
+    coeffs = {k: to_int(c) for k, c in out.coeffs.items()}
+    return Series(3, out.denoms, {k: c for k, c in coeffs.items() if c},
+                  out.trunc, out.floor)
 
 
 @pytest.mark.parametrize("name,p", [("delta1", 2), ("delta1", 3), ("delta2", 3),
@@ -198,5 +208,15 @@ def test_ms_p_integer_phases_match_fraction_phases(name, p):
     F = closed_form(name, 24 * 5, 24 * 8)
     got = ms_p(F, p, 24 * 3, 24 * 6).series
     want = reference_ms_p(F, p, (24 * 3, 24 * 6))
+    assert got.coeffs == want.coeffs and got.trunc == want.trunc
+    assert got.coeffs
+
+
+def test_ms_p_at_p6_matches_float_phases():
+    # the phases of 6 s-classes have orders 2, 3 and 6, which a Cyc chain
+    # cannot add; the integer norm needs no common order
+    F = closed_form("delta1", 48, 468)
+    got = ms_p(F, 6, 72, 960).series
+    want = reference_ms_p(F, 6, (72, 960), float_root, float_int)
     assert got.coeffs == want.coeffs and got.trunc == want.trunc
     assert got.coeffs
