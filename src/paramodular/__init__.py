@@ -2,7 +2,6 @@
 hyperbolic root-system checks."""
 
 from .chars import CharacterTag, kronecker, v_eta_exponent, v_eta_sigma
-from .cyclotomic import Cyc
 from .forms import JacobiExpansion, catalog, ez_bracket
 from .lift import (InsufficientBoxError, SiegelExpansion, arith_lift,
                    closed_form, divisor_multiplicity, exp_lift,
@@ -10,7 +9,7 @@ from .lift import (InsufficientBoxError, SiegelExpansion, arith_lift,
 from .qseries import ExactDivisionError, Series
 
 __all__ = [
-    "CharacterTag", "Cyc", "ExactDivisionError", "InsufficientBoxError",
+    "CharacterTag", "ExactDivisionError", "InsufficientBoxError",
     "JacobiExpansion", "Series", "SiegelExpansion", "arith_lift", "catalog",
     "closed_form", "divisor_multiplicity", "exp_lift", "ez_bracket",
     "kronecker", "lemma22_checksum", "lift_arith", "lift_exp", "v_eta_exponent",

@@ -2,10 +2,12 @@
 
 Elements are residues modulo the n-th cyclotomic polynomial, with a
 canonical coordinate vector of length phi(n) = deg Phi_n.  Orders are
-arbitrary small integers.  The operators never need them (a product of
-twisted copies is an integer norm, see ``qseries.twisted_norm``); the
-brute-force oracles of the tests compute in Z[zeta_n] with them, and
-``Series`` arithmetic accepts them as coefficients.
+arbitrary small integers.  No engine module imports this one: a product of
+twisted copies is an integer norm (``qseries.twisted_norm``), so every
+operator computes over Z.  The tests' brute-force oracles compute in
+Z[zeta_n] with it, multiplying and adding ``Series`` with these values as
+coefficients, which ``Series.mul`` and ``+`` allow since they use only ring
+operations.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import lcm
 
 from .chars import CharacterTag, divisors, kronecker
 from .qseries import Series, div_operands
@@ -46,6 +47,14 @@ class JacobiExpansion:
 
     def fkey(self, n24: int, l2: int) -> int:
         return self.series.get((n24, l2))
+
+    def paper_terms(self):
+        """Iterate ((n, l), c) in integer exponent units (q^n r^l); a
+        non-integral exponent raises ValueError."""
+        for (a, b), c in self.series.terms():
+            if a % 24 or b % 2:
+                raise ValueError(f"exponent key {(a, b)} is not integral in q and r")
+            yield (a // 24, b // 2), c
 
     def q_slice(self, n) -> dict:
         """Map l-numerator -> coefficient on the q^n slice (n rational)."""
@@ -287,35 +296,22 @@ def ez_bracket(a: JacobiExpansion, b: JacobiExpansion,
     """Differential bracket scale * [a, b]: coefficientwise
     sum over splittings of (index_b * l_1/2 - index_a * l_2/2) f_a f_b.
 
-    Weight adds plus one, index and characters add.  The result (after the
-    overall integer scale) must have integer coefficients; half-integral
-    indices generally need scale 2.
+    With m the common denominator of the indices and D multiplying each
+    coefficient by its r-numerator, that is
+    scale * ((m t_b) D(a) b - (m t_a) a D(b)) / (2m), two products of
+    :meth:`Series.mul` (which fix the box) divided exactly at the end.
+    Weight adds plus one, index and characters add.  The result must have
+    integer coefficients, or :class:`ExactDivisionError` is raised;
+    half-integral indices generally need scale 2.
     """
-    out = {}
-    for (n1, l1), c1 in a.series.terms():
-        for (n2, l2), c2 in b.series.terms():
-            w = b.index * Fraction(l1, 2) - a.index * Fraction(l2, 2)
-            if not w:
-                continue
-            key = (n1 + n2, l1 + l2)
-            out[key] = out.get(key, 0) + scale * w * c1 * c2
-    coeffs = {}
-    for k, v in out.items():
-        if v:
-            if v.denominator != 1:
-                raise ArithmeticError(f"bracket coefficient {v} at {k} is not integral")
-            coeffs[k] = v.numerator
-    qt = None
-    for s in (a.series, b.series):
-        if s.trunc[0] is not None:
-            fl = (b.series if s is a.series else a.series).floor[0]
-            t = s.trunc[0] + fl
-            qt = t if qt is None else min(qt, t)
-    ser = Series(2, QR_DENOMS, coeffs, (qt, None),
-                 (a.series.floor[0] + b.series.floor[0],
-                  min((k[1] for k in coeffs), default=0)))
-    ser._drop_overflow()
-    return JacobiExpansion(ser, a.weight + b.weight + 1, a.index + b.index,
+    m = lcm(a.index.denominator, b.index.denominator)
+    D = lambda s: Series(2, s.denoms, {k: k[1] * c for k, c in s.coeffs.items() if k[1]},
+                         s.trunc, s.floor)
+    sa, sb = a.series, b.series
+    bracket = (D(sa).mul(sb).scale(int(m * b.index))
+               - sa.mul(D(sb)).scale(int(m * a.index)))
+    return JacobiExpansion(bracket.scale(scale).scale_exact_div(2 * m),
+                           a.weight + b.weight + 1, a.index + b.index,
                            a.char + b.char, "cusp")
 
 

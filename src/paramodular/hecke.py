@@ -33,15 +33,6 @@ def _image_series(coeffs: dict, tout: int, fq: int) -> Series:
                   (fq, min((k[1] for k in coeffs), default=0)))
 
 
-def _paper_terms(phi: JacobiExpansion):
-    """Iterate ((n, l), c) in integer exponent units; requires an
-    integral-exponent expansion."""
-    for (a, b), c in phi.series.terms():
-        if a % 24 or b % 2:
-            raise ValueError("operator needs integral q- and r-exponents")
-        yield (a // 24, b // 2), c
-
-
 def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     """Index-raising operator at weight 0, trivial character:
     f_m(N, L) = m * sum_{a | (N, L, m)} a^{-1} f(N m / a^2, L / a)."""
@@ -53,7 +44,7 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
         raise ValueError("m must be positive")
     coeffs = {}
     tout = phi.qmax // m  # numerator units
-    for (n, l), c in _paper_terms(phi):
+    for (n, l), c in phi.paper_terms():
         for a in divisors(m):
             if (n * a * a) % m:
                 continue
@@ -156,7 +147,7 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
         key = (24 * n, 2 * l)
         coeffs[key] = coeffs.get(key, 0) + c
 
-    for (n, l), c in _paper_terms(phi):
+    for (n, l), c in phi.paper_terms():
         if n % (p * p) == 0 and l % p == 0:
             push(n // (p * p), l // p, p ** 3 * c)
         g = gauss_sum(p, n, l, t)
@@ -272,7 +263,7 @@ def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     if tout < 0:
         raise InsufficientBoxError("input truncation too small")
     coeffs = {}
-    for (n, l), c in _paper_terms(phi):
+    for (n, l), c in phi.paper_terms():
         if l % p:
             continue
         lp = l // p
@@ -299,19 +290,6 @@ def t_plus_1_4(phi: JacobiExpansion) -> JacobiExpansion:
     return lambda_star(t0(phi, 2), 2).scale_div(2)
 
 
-# kind -> operator(phi, param); each looks its function up when called, so a
-# rebinding of the module attribute takes effect
-_OPERATORS = {
-    "lambda": lambda phi, n: lambda_op(phi, n),
-    "tminus": lambda phi, m: t_minus_weight0(phi, m),
-    "tminuschar": lambda phi, m: t_minus_char(phi, m),
-    "t0": lambda phi, p: t0(phi, p),
-    "tplus2": lambda phi, _: t_plus_2(phi),
-    "tplus14": lambda phi, _: t_plus_1_4(phi),
-    "lambdastar": lambda phi, n: lambda_star(phi, n),
-}
-
-
 def _t0_depth(t: int, p: int, qmax: int) -> int:
     if t < 1:
         raise ValueError("the index-preserving operator needs a positive index")
@@ -328,16 +306,19 @@ def _lambda_star_depth(t: int, p: int, qmax: int) -> int:
     return 24 * n
 
 
-# kind -> (input index numerator, param, qmax) -> the least input q-numerator
-# depth whose image each operator certifies to qmax
-_DEPTHS = {
-    "lambda": lambda t, n, qmax: qmax,
-    "tminus": lambda t, m, qmax: m * qmax,
-    "tminuschar": lambda t, m, qmax: m * qmax,
-    "t0": _t0_depth,
-    "tplus2": lambda t, _, qmax: 48 * -(-qmax // 24),
-    "tplus14": lambda t, _, qmax: _t0_depth(t, 2, _lambda_star_depth(t, 2, qmax)),
-    "lambdastar": _lambda_star_depth,
+# kind -> (operator(phi, param), depth(t, param, qmax)): the operator, which
+# looks its function up when called so that a rebinding of the module
+# attribute takes effect, and the least input q-numerator depth whose image
+# it certifies to qmax, for an input of index numerator t
+_KINDS = {
+    "lambda": (lambda phi, n: lambda_op(phi, n), lambda t, n, qmax: qmax),
+    "tminus": (lambda phi, m: t_minus_weight0(phi, m), lambda t, m, qmax: m * qmax),
+    "tminuschar": (lambda phi, m: t_minus_char(phi, m), lambda t, m, qmax: m * qmax),
+    "t0": (lambda phi, p: t0(phi, p), _t0_depth),
+    "tplus2": (lambda phi, _: t_plus_2(phi), lambda t, _, qmax: 48 * -(-qmax // 24)),
+    "tplus14": (lambda phi, _: t_plus_1_4(phi),
+                lambda t, _, qmax: _t0_depth(t, 2, _lambda_star_depth(t, 2, qmax))),
+    "lambdastar": (lambda phi, n: lambda_star(phi, n), _lambda_star_depth),
 }
 
 
@@ -347,18 +328,18 @@ class HeckeDescriptor:
     param: int = 1
 
     def __post_init__(self):
-        if self.kind not in _OPERATORS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
 
     def apply(self, phi: JacobiExpansion) -> JacobiExpansion:
-        return _OPERATORS[self.kind](phi, self.param)
+        return _KINDS[self.kind][0](phi, self.param)
 
     def image(self, name: str, qmax: int) -> JacobiExpansion:
         """The image of the catalog form ``name`` on q-numerators <= qmax,
         from the least input depth the operator certifies that box from.
         A depth-24 build supplies the index that the depth rule reads, and
         :meth:`Series.certified` refuses an image short of qmax."""
-        depth = _DEPTHS[self.kind](catalog(name, 24).index.numerator, self.param, qmax)
+        depth = _KINDS[self.kind][1](catalog(name, 24).index.numerator, self.param, qmax)
         out = self.apply(catalog(name, depth))
         return JacobiExpansion(out.series.certified((qmax,)), out.weight, out.index,
                                out.char, out.kind)

@@ -527,8 +527,7 @@ def lie_expansion_check(F, phi, datum: RootDatum, height_bound: int) -> dict:
                 f"has multiplicity {c} outside the real-root pattern")
         report["roots_checked"] += 1
 
-    for (n24, l2), c in phi.series.terms():
-        n, l = n24 // 24, l2 // 2
+    for (n, l), c in phi.paper_terms():
         # product factors (n/m, l, m), m >= 1, carry multiplicity f(n, l)
         for m in range(1, bound_m + 1):
             if n % m:

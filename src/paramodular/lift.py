@@ -24,16 +24,15 @@ QRS_DENOMS = (24, 2, 24)
 class SiegelExpansion:
     """Truncated Fourier expansion of a paramodular form in q, r, s."""
 
-    __slots__ = ("series", "level", "weight", "char", "mu", "v_eigen", "provenance")
+    __slots__ = ("series", "level", "weight", "char", "mu", "provenance")
 
     def __init__(self, series: Series, level, weight, char: CharacterTag,
-                 provenance: str, mu: int = 1, v_eigen: int | None = None):
+                 provenance: str, mu: int = 1):
         self.series = series
         self.level = Fraction(level)
         self.weight = Fraction(weight)
         self.char = char
         self.mu = mu
-        self.v_eigen = v_eigen
         self.provenance = provenance
 
     @property
@@ -49,8 +48,7 @@ class SiegelExpansion:
 
     def restricted(self, qmax: int, smax: int) -> "SiegelExpansion":
         return SiegelExpansion(self.series.restricted((qmax, smax)), self.level,
-                               self.weight, self.char, self.provenance,
-                               self.mu, self.v_eigen)
+                               self.weight, self.char, self.provenance, self.mu)
 
     def __repr__(self):
         return (f"SiegelExpansion(level={self.level}, weight={self.weight}, "
@@ -121,9 +119,7 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
 
     floor = (D * mu, min((kk[1] for kk in coeffs), default=0), int(24 * mu * t))
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax), floor)
-    # the divisor-sum coefficients are symmetric under the exponent swap
-    return SiegelExpansion(ser, Q * t, k, CharacterTag(D, eps), "arith-lift",
-                           mu=mu, v_eigen=1)
+    return SiegelExpansion(ser, Q * t, k, CharacterTag(D, eps), "arith-lift", mu=mu)
 
 
 def lift_arith(name: str, mu: int = 1, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
@@ -289,11 +285,7 @@ def _exp_plan(phi: JacobiExpansion, qmax: int, smax: int) -> _ExpPlan:
     if phi.index.denominator != 1 or phi.index < 1:
         raise ValueError("integer index >= 1 required")
     t = phi.index.numerator
-    fmap = {}
-    for (n24, l2), c in phi.series.terms():
-        if n24 % 24 or l2 % 2:
-            raise ValueError("integral exponents required")
-        fmap[(n24 // 24, l2 // 2)] = c
+    fmap = dict(phi.paper_terms())
     f0 = {l: c for (n, l), c in fmap.items() if n == 0}
 
     A24 = sum(f0.values())
@@ -432,8 +424,7 @@ def lemma22_checksum(phi: JacobiExpansion) -> int:
         raise ValueError("integer index required")
     t = phi.index.numerator
     s_const = s_neg = s_l2 = 0
-    for (n24, l2), c in phi.series.terms():
-        n, l = n24 // 24, l2 // 2
+    for (n, l), c in phi.paper_terms():
         if n == 0:
             s_const += c
             s_l2 += l * l * c
@@ -466,7 +457,7 @@ def vt_parity(phi: JacobiExpansion) -> int:
     """Sign parity of the lifted product under the main involution:
     sum over n < 0 of sigma_1(|n|) f(n, l), mod 2."""
     acc = 0
-    for (n24, l2), c in phi.series.terms():
-        if n24 < 0:
-            acc += sum(divisors(n24 // 24)) * c
+    for (n, _), c in phi.paper_terms():
+        if n < 0:
+            acc += sum(divisors(n)) * c
     return acc % 2

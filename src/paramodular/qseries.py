@@ -3,10 +3,12 @@
 A :class:`Series` holds finitely many terms of a formal expansion in one,
 two or three variables (conventionally q, r, s).  Exponents are rational
 with a fixed denominator per variable, so a term is keyed by its tuple of
-integer numerators.  Coefficients are arbitrary-precision ints; the arithmetic
-also accepts :class:`~paramodular.cyclotomic.Cyc` values.  A product of
-copies of one series twisted by p-th roots of unity is an integer norm of
-its class components (:func:`twisted_norm`), so no operator needs them.
+integer numerators.  Coefficients are arbitrary-precision ints.  A product
+of copies of one series twisted by p-th roots of unity is an integer norm of
+its class components (:func:`twisted_norm`), so no operator computes in a
+cyclotomic ring.  ``mul`` and ``+`` use only ring operations on the
+coefficients, so they also run on the tests' cyclotomic oracle values;
+``div``, exact scaling and JSON export are integer-only.
 
 Truncation is a contract, not a storage limit: ``trunc[v]`` is the largest
 numerator of the bounded variable ``v`` up to which the stored terms are
@@ -26,8 +28,6 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, inf
 from operator import add
-
-from .cyclotomic import Cyc, as_rational_int
 
 
 class ExactDivisionError(ArithmeticError):
@@ -289,7 +289,7 @@ class Series:
     def scale_exact_div(self, c: int) -> "Series":
         coeffs = {}
         for k, v in self.coeffs.items():
-            q, r = divmod(as_rational_int(v), c)
+            q, r = divmod(v, c)
             if r:
                 raise ExactDivisionError(f"coefficient {v} at {k} not divisible by {c}")
             if q:
@@ -406,12 +406,12 @@ class Series:
         return Series(nv, self.denoms, _unslice(nv, slices), trunc, floor)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Cyc)):
+        if isinstance(other, int):
             return self.scale(other)
         return self.mul(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Cyc)):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
@@ -670,7 +670,7 @@ class Series:
         return sorted(self.coeffs.items())
 
     def to_json_dict(self) -> dict:
-        terms = [list(k) + [str(as_rational_int(c))] for k, c in self.sorted_terms()]
+        terms = [list(k) + [str(c)] for k, c in self.sorted_terms()]
         return {
             "denoms": list(self.denoms),
             "floor": list(self.floor),
@@ -765,20 +765,6 @@ def _product_box(nvars, ta, fa, tb, fb, cap=None):
     return tuple(trunc), tuple(x + y for x, y in zip(fa, fb))
 
 
-def _coeff_div(c, d):
-    """Exact coefficient division, raising on a remainder."""
-    if isinstance(c, int) and isinstance(d, int):
-        q, r = divmod(c, d)
-        if r:
-            raise ExactDivisionError(f"coefficient {c} not divisible by {d}")
-        return q
-    if d == 1:
-        return c
-    if d == -1:
-        return -c
-    raise ExactDivisionError("cyclotomic coefficients divide only by unit leads")
-
-
 def _mul_into(out: dict, pa, pb):
     """Add the product of two r-polynomials, given as (r, c) pair lists,
     into the slice ``out`` (r -> c).  A slot that cancels to zero is
@@ -822,6 +808,9 @@ def _divide_poly_slice(ra: dict, rb: dict) -> dict:
         l = top_a - top_b
         if min(ra) - low_b > l:
             raise ExactDivisionError("nonzero remainder in r-slice division")
-        c = out[l] = _coeff_div(ra[top_a], cb)
+        c, r = divmod(ra[top_a], cb)
+        if r:
+            raise ExactDivisionError(f"coefficient {ra[top_a]} not divisible by {cb}")
+        out[l] = c
         _mul_into(ra, [(l, -c)], pb)
     return out

@@ -202,8 +202,7 @@ def involution_V(F: SiegelExpansion, tQ=None) -> SiegelExpansion:
     tQ = Fraction(tQ)
     mat = ((0, 0, 1 / tQ), (0, Fraction(1), 0), (tQ, 0, 0))
     ser = F.series.substitute_linear(mat)
-    return SiegelExpansion(ser, F.level, F.weight, F.char, F.provenance,
-                           F.mu, F.v_eigen)
+    return SiegelExpansion(ser, F.level, F.weight, F.char, F.provenance, F.mu)
 
 
 def restrict_z(F: SiegelExpansion, alpha) -> Series:

@@ -274,3 +274,11 @@ def test_subprocess_entry_point():
     r = run(["roots", "check", "t1_II_even"])
     assert r.returncode == 0
     assert "tables verified" in r.stdout
+
+
+def test_the_engine_does_not_import_cyclotomic():
+    # coefficients are integers: only the tests' oracles use Z[zeta_n]
+    code = "import sys, paramodular.cli; assert 'paramodular.cyclotomic' not in sys.modules"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    assert r.returncode == 0, r.stderr

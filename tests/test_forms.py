@@ -8,6 +8,8 @@ from paramodular.forms import (catalog, eta_power, ez_bracket, manifest,
                                registry_names, theta_product_form, theta_series,
                                theta32_series)
 
+from oracles import ez_bracket_loop
+
 B = 24 * 8
 
 
@@ -118,6 +120,28 @@ def test_bracket_route_matches_double_sum():
     lhs = phi_2_2_sum(B).series
     rhs = ez_bracket(theta_series(B), theta32_series(B), scale=2).series
     assert rhs.trunc[0] >= B and lhs.first_mismatch(rhs) is None
+
+
+@pytest.mark.parametrize("a,b", [
+    (theta_series(B), theta32_series(B)),
+    (theta_series(B), theta32_series(96)),
+    (theta32_series(96), theta_series(B)),
+    (theta_series(B), theta_series(B, 2)),
+    (theta_series(B), theta_series(B)),
+], ids=["th-th32", "th-th32-shallow", "th32-shallow-th", "th-th2z", "th-th"])
+def test_bracket_matches_the_double_loop(a, b):
+    got = ez_bracket(a, b, scale=2).series.check()
+    ref = ez_bracket_loop(a, b, scale=2)
+    assert (got.coeffs, got.trunc, got.floor[0]) == (ref.coeffs, ref.trunc, ref.floor[0])
+    assert got.coeffs or a.index == b.index
+
+
+def test_bracket_refuses_a_non_integral_result():
+    a, b = theta_series(B), theta32_series(B)
+    with pytest.raises(ArithmeticError):
+        ez_bracket_loop(a, b)
+    with pytest.raises(ArithmeticError):
+        ez_bracket(a, b)
 
 
 def test_bracket_antisymmetry():

@@ -134,6 +134,16 @@ def test_lemma22_checksum_hand_values():
     assert lemma22_checksum(p1) == 0
 
 
+def test_diagnostics_refuse_non_integral_exponents():
+    # phi_1_4 = eta^2 phi_0_4 has q-exponents in 1/12 + Z: flooring them
+    # would read a zero checksum and an even parity off a weight-1 form
+    p = catalog("phi_1_4", 96)
+    assert p.fkey(2, 0)
+    for diagnostic in (lemma22_checksum, vt_parity):
+        with pytest.raises(ValueError, match="not integral"):
+            diagnostic(p)
+
+
 def test_divisor_multiplicities():
     assert divisor_multiplicity(catalog("phi_0_3", 24 * 40), 1, 1) == 1
     assert divisor_multiplicity(catalog("phi_0_2", 24 * 40), 1, 1) == 1
