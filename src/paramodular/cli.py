@@ -23,20 +23,14 @@ def _series_json(series: Series) -> str:
 
 
 def _series_csv(series: Series) -> str:
-    lines = []
-    nv = series.nvars
-    header = {1: "n,coefficient", 2: "n,l,coefficient", 3: "n,l,m,coefficient"}[nv]
-    lines.append(header)
+    lines = [{1: "n,coefficient", 2: "n,l,coefficient", 3: "n,l,m,coefficient"}[series.nvars]]
     for key, c in series.sorted_terms():
         lines.append(",".join(str(x) for x in key) + f",{c}")
     return "\n".join(lines) + "\n"
 
 
 def _emit(series: Series, args) -> None:
-    if args.csv:
-        text = _series_csv(series)
-    else:
-        text = _series_json(series) + "\n"
+    text = _series_csv(series) if args.csv else _series_json(series) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -98,25 +92,19 @@ def cmd_siegel(args) -> int:
     elif args.verb == "restrict":
         alpha = Fraction(1, 2) if args.alpha == "half" else Fraction(0)
         _emit(siegel.restrict_z(build(q, s), alpha), args)
-    elif args.verb == "involution":
-        _emit(siegel.involution_V(build(q, s)).series, args)
     else:
-        raise KeyError(args.verb)
+        _emit(siegel.involution_V(build(q, s)).series, args)
     return EXIT_OK
 
 
 def cmd_roots(args) -> int:
+    datum = kmroots.build_datum(args.case)
     if args.verb == "check":
-        datum = kmroots.build_datum(args.case)
         print(f"{args.case}: {len(datum.roots)} simple roots, "
               f"rho = {tuple(str(x) for x in datum.rho)}, "
               f"{'parabolic' if datum.parabolic else 'elliptic'}; tables verified")
         return EXIT_OK
-    datum = kmroots.build_datum(args.case)
-    binding = kmroots.CASE_FORMS.get(args.case)
-    if binding is None:
-        print(f"no lift bound to case {args.case}", file=sys.stderr)
-        return EXIT_USAGE
+    binding = kmroots.CASE_FORMS[args.case]
     q, s = _box(args)
     F = lift.closed_form(binding[0], q, s)
     phi = forms.catalog(binding[1], q)
@@ -132,17 +120,11 @@ def cmd_verify(args) -> int:
         results = identities.verify_all(q, s, section=args.section)
     else:
         results = [identities.verify(args.id, q, s)]
-    rows = []
-    ok = True
-    for r in results:
-        ok = ok and r.ok
-        rows.append({
-            "id": r.id, "status": r.status,
-            "constant": str(r.constant) if r.constant is not None else None,
-            "box": list(r.box) if r.box else None,
-            "mismatch": list(r.mismatch_key) if r.mismatch_key else None,
-            "detail": r.detail,
-        })
+    rows = [{"id": r.id, "status": r.status,
+             "constant": str(r.constant) if r.constant is not None else None,
+             "box": list(r.box) if r.box else None,
+             "mismatch": list(r.mismatch_key) if r.mismatch_key else None,
+             "detail": r.detail} for r in results]
     if args.json:
         print(json.dumps(rows, sort_keys=True, indent=1))
     else:
@@ -153,7 +135,7 @@ def cmd_verify(args) -> int:
             print(f"{mark:5s} {row['id']:24s}{const}{det}")
         n = sum(1 for r in rows if r["status"] == "pass")
         print(f"{n}/{len(rows)} identities pass")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
 
 
 def _canonical(ser: Series, box) -> Series:
@@ -214,52 +196,43 @@ def cmd_manifest(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="paramodular",
-        description="Exact Fourier expansions of Jacobi and paramodular forms, "
-                    "their liftings, and identity verification.")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+def _box_opts(p, q=6, s=6):
+    p.add_argument("--qmax", type=int, default=q, help="q-exponent bound (exponent units)")
+    p.add_argument("--smax", type=int, default=s, help="s-exponent bound (exponent units)")
 
-    def box_opts(p, q=6, s=6):
-        p.add_argument("--qmax", type=int, default=q,
-                       help="q-exponent bound (exponent units)")
-        p.add_argument("--smax", type=int, default=s,
-                       help="s-exponent bound (exponent units)")
 
-    def emit_opts(p):
-        """The options of the commands that print one series through _emit."""
-        box_opts(p)
-        p.add_argument("--csv", action="store_true", help="CSV output (default JSON)")
-        p.add_argument("-o", "--output", help="write to file")
+def _emit_opts(p):
+    """The options of the commands that print one series through _emit."""
+    _box_opts(p)
+    p.add_argument("--csv", action="store_true", help="CSV output (default JSON)")
+    p.add_argument("-o", "--output", help="write to file")
 
-    p = sub.add_parser("form", help="expand a catalog Jacobi form")
-    fsub = p.add_subparsers(dest="verb", required=True)
-    fe = fsub.add_parser("expand")
+
+def _form_args(p):
+    fe = p.add_subparsers(dest="verb", required=True).add_parser("expand")
     fe.add_argument("name", choices=forms.registry_names())
-    emit_opts(fe)
-    fe.set_defaults(func=cmd_form)
+    _emit_opts(fe)
 
-    p = sub.add_parser("hecke", help="apply a Hecke operator")
-    hsub = p.add_subparsers(dest="verb", required=True)
-    ha = hsub.add_parser("apply")
+
+def _hecke_args(p):
+    ha = p.add_subparsers(dest="verb", required=True).add_parser("apply")
     ha.add_argument("--op", required=True,
                     help="descriptor like t0:2, tminus:3, lambda:2, tplus2, tplus14")
     ha.add_argument("--form", required=True)
-    emit_opts(ha)
-    ha.set_defaults(func=cmd_hecke)
+    _emit_opts(ha)
 
-    p = sub.add_parser("lift", help="arithmetic/exponential/closed-form liftings")
+
+def _lift_args(p):
     lsub = p.add_subparsers(dest="kind", required=True)
     for kind in ("arith", "exp", "closed"):
         lp = lsub.add_parser(kind)
         lp.add_argument("name")
         if kind == "arith":
             lp.add_argument("--mu", type=int, default=1)
-        emit_opts(lp)
-        lp.set_defaults(func=cmd_lift)
+        _emit_opts(lp)
 
-    p = sub.add_parser("siegel", help="algebra on three-variable expansions")
+
+def _siegel_args(p):
     ssub = p.add_subparsers(dest="verb", required=True)
     for verb in ("msym", "heckeprod", "restrict", "involution"):
         spp = ssub.add_parser(verb)
@@ -268,47 +241,74 @@ def build_parser() -> argparse.ArgumentParser:
             spp.add_argument("--p", type=int, required=True)
         if verb == "restrict":
             spp.add_argument("--alpha", choices=["0", "half"], required=True)
-        emit_opts(spp)
-        spp.set_defaults(func=cmd_siegel)
+        _emit_opts(spp)
 
-    p = sub.add_parser("roots", help="hyperbolic root-system data")
+
+def _roots_args(p):
     rsub = p.add_subparsers(dest="verb", required=True)
-    rc = rsub.add_parser("check")
-    rc.add_argument("case", choices=kmroots.case_ids())
-    rc.set_defaults(func=cmd_roots)
+    rsub.add_parser("check").add_argument("case", choices=kmroots.case_ids())
     rl = rsub.add_parser("lie-check")
     rl.add_argument("case", choices=sorted(kmroots.CASE_FORMS))
-    box_opts(rl)
-    rl.set_defaults(func=cmd_roots)
+    _box_opts(rl)
 
-    p = sub.add_parser("verify", help="run identity checks")
+
+def _verify_args(p):
     p.add_argument("id", nargs="?", default="all")
     p.add_argument("--section", default=None)
-    box_opts(p)
+    _box_opts(p)
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", help="deterministic JSON/CSV coefficient export")
+
+def _export_args(p):
     p.add_argument("id")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--goldens", default=None, help="compare against a goldens dir")
     p.add_argument("--regen-goldens", action="store_true")
-    box_opts(p, 3, 3)
+    _box_opts(p, 3, 3)
     p.add_argument("-o", "--output", help="write to file")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("diff", help="compare two exported JSON series")
+
+def _diff_args(p):
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("manifest", help="print the registry manifest")
-    p.set_defaults(func=cmd_manifest)
+
+# command -> (help, handler, the function that adds its arguments), in usage order
+_COMMANDS = {
+    "form": ("expand a catalog Jacobi form", cmd_form, _form_args),
+    "hecke": ("apply a Hecke operator", cmd_hecke, _hecke_args),
+    "lift": ("arithmetic/exponential/closed-form liftings", cmd_lift, _lift_args),
+    "siegel": ("algebra on three-variable expansions", cmd_siegel, _siegel_args),
+    "roots": ("hyperbolic root-system data", cmd_roots, _roots_args),
+    "verify": ("run identity checks", cmd_verify, _verify_args),
+    "export": ("deterministic JSON/CSV coefficient export", cmd_export, _export_args),
+    "diff": ("compare two exported JSON series", cmd_diff, _diff_args),
+    "manifest": ("print the registry manifest", cmd_manifest, lambda p: None),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argparse tree.  Given a known ``command``, only its subtree is
+    built; the other commands stay choices of the top level, with no
+    parser, so its usage line reads as the full tree's."""
+    ap = argparse.ArgumentParser(
+        prog="paramodular",
+        description="Exact Fourier expansions of Jacobi and paramodular forms, "
+                    "their liftings, and identity verification.")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (text, handler, add_args) in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(func=handler)
+            add_args(p)
+        else:
+            sub.choices[name] = None  # named in the usage line, never parsed
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -702,23 +702,33 @@ def div_operands(numerator, divisor, box):
 
     ``numerator`` and ``divisor`` build an operand at a given box (one
     argument per bounded variable) and return a :class:`Series` or an
-    object holding one as ``series``.  The divisor is built at ``box`` to
-    read its lead L, the numerator at box + L, and the divisor again at
-    box + 2L - F, with F the numerator's floor, only if its first build
-    certifies less.  Returns ``(numerator, divisor)``.
+    object holding one as ``series``.  A probe of the divisor, at 24 per
+    bounded variable and doubled while empty up to ``box``, reads its lead L;
+    the numerator is built at box + L, and the divisor at box + 2L - F, with
+    F the numerator's floor, unless the probe certifies that.  The divisor's
+    request is lowered by what the probe was certified beyond its own, and
+    raised to box + 2L - F if that falls short.  Returns ``(numerator, divisor)``.
     """
     series = lambda x: x if isinstance(x, Series) else x.series
-    den = divisor(*box)
-    d = series(den)
+    box = tuple(box)
+    probe = tuple(min(24, b) for b in box)
+    d = series(den := divisor(*probe))
+    while not d.coeffs and probe != box:
+        probe = tuple(min(2 * p, b) for p, b in zip(probe, box))
+        d = series(den := divisor(*probe))
     if not d.coeffs:
-        raise InsufficientBoxError(f"the divisor has no term in the box {tuple(box)}")
+        raise InsufficientBoxError(f"the divisor has no term in the box {box}")
     bv = bounded_vars(d.nvars)
     lead = [min(k[v] for k in d.coeffs) for v in bv]
     num = numerator(*(b + l for b, l in zip(box, lead)))
     floor = series(num).floor
     need = [max(b, b + 2 * l - floor[v]) for b, l, v in zip(box, lead, bv)]
-    if any(d.trunc[v] is not None and d.trunc[v] < n for v, n in zip(bv, need)):
-        den = divisor(*need)
+    short = lambda x: any(x.trunc[v] is not None and x.trunc[v] < n for v, n in zip(bv, need))
+    if short(d):
+        den = divisor(*(n if d.trunc[v] is None else n + p - d.trunc[v]
+                        for n, p, v in zip(need, probe, bv)))
+        if short(series(den)):
+            den = divisor(*need)
     return num, den
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from paramodular.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_USAGE, main
+from paramodular import cli
+from paramodular.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from paramodular.qseries import Series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -282,3 +284,57 @@ def test_the_engine_does_not_import_cyclotomic():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
     assert r.returncode == 0, r.stderr
+
+
+# one valid request per command, then help and usage errors at every level
+IDENTITY_ARGVS = [
+    ["form", "expand", "theta", "--qmax", "1"],
+    ["hecke", "apply", "--op", "t0:2", "--form", "phi_0_2", "--qmax", "1"],
+    ["lift", "closed", "delta1", "--qmax", "1", "--smax", "1"],
+    ["siegel", "involution", "--form", "delta1", "--qmax", "1", "--smax", "1"],
+    ["roots", "check", "t1_I_odd"],
+    ["roots", "lie-check", "D2", "--qmax", "1", "--smax", "1"],
+    ["verify", "eq2.24", "--qmax", "1", "--smax", "1"],
+    ["export", "delta1", "--qmax", "1", "--smax", "1"],
+    ["diff", "goldens/delta1.json", "goldens/delta2.json"],
+    ["manifest"],
+    ["-h"],
+    ["roots", "-h"],
+    ["roots", "check", "-h"],
+    ["siegel", "msym", "-h"],
+    [],
+    ["nope"],
+    ["roots", "nope"],
+    ["roots", "check", "nope"],
+    ["siegel", "msym", "--form", "delta5"],
+    ["roots", "check", "t1_I_odd", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", IDENTITY_ARGVS, ids=lambda a: " ".join(a) or "no-arguments")
+def test_a_request_prints_what_the_full_parser_tree_prints(monkeypatch, capsys, argv):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome():
+        rc = main(list(argv))
+        return (rc, *capsys.readouterr())
+
+    narrowed = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome() == narrowed
+
+
+def test_a_request_builds_only_its_command_parsers(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["roots", "check", "t1_I_odd"]) == EXIT_OK
+    # the top level, roots, and its two verbs
+    assert len(built) <= 4, built

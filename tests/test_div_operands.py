@@ -18,13 +18,14 @@ def _series(x):
 
 
 def _planned(monkeypatch, module, run):
-    """(box, numerator, divisor) of every ``div_operands`` call that ``run``
-    makes through ``module``."""
+    """(box, numerator, divisor, the boxes the divisor was built at) of every
+    ``div_operands`` call that ``run`` makes through ``module``."""
     calls = []
 
     def spy(numerator, divisor, box):
-        a, b = qseries.div_operands(numerator, divisor, box)
-        calls.append((tuple(box), _series(a), _series(b)))
+        asked = []
+        a, b = qseries.div_operands(numerator, lambda *d: asked.append(d) or divisor(*d), box)
+        calls.append((tuple(box), _series(a), _series(b), asked))
         return a, b
 
     monkeypatch.setattr(module, "div_operands", spy)
@@ -54,13 +55,35 @@ def _assert_tight(box, a, b):
 def test_catalog_quotients_request_exactly_enough_input(monkeypatch, name):
     monkeypatch.setattr(forms, "_CACHE", {})
     calls = _planned(monkeypatch, forms, lambda: forms.catalog(name, 48))
-    for box, a, b in calls:
+    for box, a, b, asked in calls:
         _assert_tight(box, a, b)
+        # a probe at 24 reads the lead; the divisor is built once past it
+        assert asked[0] == (24,) and len(asked) == 2, asked
 
 
 @pytest.mark.parametrize("ident", SIEGEL_QUOTIENTS)
 def test_siegel_quotients_request_exactly_enough_input(monkeypatch, ident):
     calls = _planned(monkeypatch, identities, lambda: identities.verify(ident, 48, 48))
-    for box, a, b in calls:
+    for box, a, b, _ in calls:
         assert box == (48, 48)
         _assert_tight(box, a, b)
+
+
+@pytest.mark.parametrize("deep_extra, asked_want", [(24, [24, 72]), (0, [24, 72, 96])])
+def test_the_divisor_request_is_lowered_by_what_the_probe_over_delivered(deep_extra, asked_want):
+    # (1 - x^2) / (1 - x) at box 96; the probe at 24 comes back certified to 48
+    asked = []
+
+    def divisor(q):
+        asked.append(q)
+        extra = 24 if q <= 24 else deep_extra
+        return qseries.Series(1, (24,), {(0,): 1, (24,): -1}, (q + extra,), (0,))
+
+    def numerator(q):
+        return qseries.Series(1, (24,), {(0,): 1, (48,): -1}, (q,), (0,))
+
+    a, b = qseries.div_operands(numerator, divisor, (96,))
+    # a builder that stops over-delivering is asked again for the planned box
+    assert asked == asked_want
+    assert b.trunc == (96,)
+    assert a.div(b).trunc[0] >= 96
