@@ -41,20 +41,6 @@ def _box(args):
     return 24 * args.qmax, 24 * args.smax
 
 
-def _siegel_object(name: str, qmax: int, smax: int):
-    """Resolve a Siegel-expansion id: a closed-form name, or arith:<form>
-    (optionally arith:<form>:<mu>) or exp:<form>."""
-    if name in lift._CLOSED:
-        return lift.closed_form(name, qmax, smax)
-    if name.startswith("arith:"):
-        parts = name.split(":")
-        mu = int(parts[2]) if len(parts) > 2 else 1
-        return lift.lift_arith(parts[1], mu, qmax, smax)
-    if name.startswith("exp:"):
-        return lift.lift_exp(name.split(":", 1)[1], qmax, smax)
-    raise KeyError(f"unknown Siegel expansion id {name!r}")
-
-
 def cmd_form(args) -> int:
     q = 24 * args.qmax
     _emit(_canonical(forms.catalog(args.name, q).series, (q,)), args)
@@ -82,7 +68,7 @@ def cmd_lift(args) -> int:
 
 def cmd_siegel(args) -> int:
     q, s = _box(args)
-    build = lambda Q, S: _siegel_object(args.form, Q, S)
+    build = lambda Q, S: lift.siegel_expansion(args.form, Q, S)
     # msym and heckeprod ask for their own input box and refuse a result
     # certified short of the request
     if args.verb == "msym":
@@ -152,7 +138,7 @@ def _export_text(name: str, fmt: str, qmax: int, smax: int) -> str:
     if name in forms.registry_names():
         ser = _canonical(forms.catalog(name, qmax).series, (qmax,))
     else:
-        ser = _canonical(_siegel_object(name, qmax, smax).series, (qmax, smax))
+        ser = _canonical(lift.siegel_expansion(name, qmax, smax).series, (qmax, smax))
     return _series_csv(ser) if fmt == "csv" else _series_json(ser) + "\n"
 
 

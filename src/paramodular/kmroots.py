@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class RootDatum:
                 raise AssertionError(f"{self.case_id}: root {al} has nonpositive norm")
             pairings = [self.lattice.pair(al, e) for e in
                         ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-            from math import gcd
             gg = 0
             for p in pairings:
                 if Fraction(p).denominator != 1:
@@ -229,7 +229,6 @@ def _case_t_1bar(t):
         # (delta, rho) = -4t.  With rho = (1, 0, 0) the pairing is -4t m, so
         # m = 1, and norm 2 l^2 - 8t n = 8t gives n = (l^2 - 4t) / 4t; every
         # such root with max|v| <= bound // 8 must be in the orbit
-        from math import gcd
         w = bound // 8
         have = set(map(tuple, roots))
         for l in range(-w, w + 1):

@@ -133,6 +133,20 @@ def lift_exp(name: str, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
     return lift_exp_of(lambda depth: catalog(name, depth), qmax, smax)
 
 
+def siegel_expansion(ident: str, qmax: int, smax: int) -> SiegelExpansion:
+    """The expansion a lift id names: a closed-form name, ``arith:<form>``,
+    ``arith:<form>:<mu>`` or ``exp:<form>``.  Any other id raises KeyError,
+    and a mu that is no integer ValueError."""
+    kind, *args = ident.split(":")
+    if not args and kind in _CLOSED:
+        return closed_form(kind, qmax, smax)
+    if kind == "arith" and len(args) in (1, 2) and args[0]:
+        return lift_arith(args[0], int(args[1]) if len(args) == 2 else 1, qmax, smax)
+    if kind == "exp" and len(args) == 1 and args[0]:
+        return lift_exp(args[0], qmax, smax)
+    raise KeyError(f"unknown Siegel expansion id {ident!r}")
+
+
 def lift_exp_of(build, qmax: int, smax: int) -> SiegelExpansion:
     """Exponential lifting of ``build(depth)``, a Jacobi expansion complete
     to the q-numerator ``depth``, asking ``build`` for the depth the plan of

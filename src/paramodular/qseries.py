@@ -674,7 +674,7 @@ class Series:
         return {
             "denoms": list(self.denoms),
             "floor": list(self.floor),
-            "trunc": [t if t is not None else None for t in self.trunc],
+            "trunc": list(self.trunc),
             "terms": terms,
         }
 
@@ -685,8 +685,7 @@ class Series:
         coeffs = {}
         for row in d["terms"]:
             coeffs[tuple(row[:-1])] = int(row[-1])
-        trunc = tuple(t if t is not None else None for t in d["trunc"])
-        return cls(nv, denoms, coeffs, trunc, tuple(d["floor"]))
+        return cls(nv, denoms, coeffs, tuple(d["trunc"]), tuple(d["floor"]))
 
     def __repr__(self):
         head = ", ".join(f"{k}:{c}" for k, c in self.sorted_terms()[:6])

@@ -246,19 +246,33 @@ SIGMA_T36 = ((Fraction(81), Fraction(-30), Fraction(100, 9)),
              (Fraction(576), Fraction(-216), Fraction(81)))
 
 
-def check_sign_under(F: SiegelExpansion, matrix, sign: int) -> bool:
-    """Every stored term whose image key stays inside the box must map to
-    sign times the coefficient there; at least one pair must be checked."""
+def reflected_sides(F: SiegelExpansion, matrix, sign: int):
+    """(sign F, F at the images) on the stored keys whose image under
+    ``matrix`` lies inside the (q, s) box, as two series that agree exactly
+    when F maps to sign F there.  F has no term at an image off the exponent
+    lattice, so such a key is kept at any box.  Refused with
+    InsufficientBoxError when no key is kept."""
     ser = F.series
     image = exponent_map(matrix, ser.denoms, ser.denoms)
-    checked = 0
+    left, right = {}, {}
     for key, c in ser.terms():
         img = image(key)
-        if img is None:
-            return False
-        inside = all(ser.trunc[v] is None or img[v] <= ser.trunc[v] for v in (0, 2))
-        if inside:
-            checked += 1
-            if ser.get(img) != sign * c:
-                return False
-    return checked > 0
+        if img is None or all(ser.trunc[v] is None or img[v] <= ser.trunc[v]
+                              for v in (0, 2)):
+            left[key] = sign * c
+            if img is not None and (there := ser.get(img)):
+                right[key] = there
+    if not left:
+        raise InsufficientBoxError("no reflected term lies inside the box")
+    return tuple(Series(3, ser.denoms, d, ser.trunc, ser.floor) for d in (left, right))
+
+
+def check_sign_under(F: SiegelExpansion, matrix, sign: int) -> bool:
+    """Whether ``reflected_sides`` agree: at least one stored term has its
+    image inside the box, and each such image carries sign times its
+    coefficient."""
+    try:
+        left, right = reflected_sides(F, matrix, sign)
+    except InsufficientBoxError:
+        return False
+    return left.first_mismatch(right) is None

@@ -78,7 +78,7 @@ def _add_identity(monkeypatch, ident, exc):
     def build(qmax, smax):
         raise exc
     monkeypatch.setitem(identities.registry(), ident,
-                        identities.IdentityRecord(ident, "0", "raises", "exact", build))
+                        identities.IdentityRecord(ident, "0", "raises", build))
 
 
 def test_verify_reports_a_box_below_the_divisor_lead():
@@ -133,7 +133,7 @@ SIEGEL_REQUESTS = [
 
 
 def test_siegel_exports_certify_the_requested_box(monkeypatch, capsys):
-    from paramodular import cli, siegel
+    from paramodular import lift, siegel
     for request in SIEGEL_REQUESTS:
         argv = request.split()
         assert main(["siegel", *argv]) == 0, request
@@ -141,20 +141,39 @@ def test_siegel_exports_certify_the_requested_box(monkeypatch, capsys):
         q, s = 24 * int(argv[-3]), 24 * int(argv[-1])
         assert got.trunc == (q, None, s), request
         # the same product from an input built 48 numerators deeper
-        deep = cli._siegel_object(argv[2], q + 48, s + 48)
+        deep = lift.siegel_expansion(argv[2], q + 48, s + 48)
         if argv[0] == "msym":
             ref = siegel.ms_p(deep, int(argv[4]), q, s)
         else:
             ref = siegel.hecke_product_T2(deep, q, s)
         assert got.coeffs == ref.series.restricted((q, s)).coeffs, request
 
-    real = cli._siegel_object
-    monkeypatch.setattr(cli, "_siegel_object",
+    real = lift.siegel_expansion
+    monkeypatch.setattr(lift, "siegel_expansion",
                         lambda name, q, s: real(name, q, s).restricted(q - 48, s))
     assert main(["siegel", *SIEGEL_REQUESTS[0].split()]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "certified to numerator 96 in variable 0, short of the requested 120" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "export arith:eta9_theta:1:junk", "export arith:", "export exp:",
+    "export arith:eta9_theta:x", "export exp:phi_0_1:1", "export delta5:1",
+    "siegel involution --form arith:eta9_theta:1:junk",
+])
+def test_a_malformed_siegel_id_is_a_usage_error(capsys, argv):
+    assert main([*argv.split(), "--qmax", "1", "--smax", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_an_explicit_mu_of_one_names_the_default_lift(capsys):
+    outs = []
+    for ident in ("arith:eta9_theta", "arith:eta9_theta:1"):
+        assert main(["export", ident, "--qmax", "1", "--smax", "1"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_siegel_restrict_at_half(capsys):

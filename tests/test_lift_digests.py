@@ -3,8 +3,8 @@
 Each digest is a sha256 over an object's sorted coefficients, ``trunc``,
 ``floor``, level, weight and character.  ``lift_digests.json`` pins the
 seven closed forms at five box shapes (q- and s-exponents, q != s
-included), both lifts of every registry pair at box 4, and the exp lifts
-at box 6.  To re-record it, at a commit whose outputs are taken as right:
+included), both lifts of every registry pair at box 4, and the exp and
+arith lifts at box 6.  To re-record it, at a commit whose outputs are taken as right:
 
     PYTHONPATH=src python tests/test_lift_digests.py
 """
@@ -40,6 +40,11 @@ def exp_at(name: str, box: int):
     return lift_exp(name, 24 * box, 24 * box)
 
 
+@cache
+def arith_at(name: str, box: int):
+    return lift_arith(name, 1, 24 * box, 24 * box)
+
+
 def digest(F) -> str:
     ser = F.series
     data = {
@@ -60,13 +65,13 @@ def objects():
         for q, s in CLOSED_BOXES:
             yield f"closed {name} {q} {s}", (lambda n=name, q=q, s=s:
                                             closed_form(n, 24 * q, 24 * s))
-    b = 24 * LIFT_BOX
     for name in EXP_NAMES:
         yield f"exp {name} {LIFT_BOX}", lambda n=name: exp_at(n, LIFT_BOX)
     for name in EXP6_NAMES:
         yield f"exp {name} 6", lambda n=name: exp_at(n, 6)
     for name in ARITH_NAMES:
-        yield f"arith {name} {LIFT_BOX}", lambda n=name: lift_arith(n, 1, b, b)
+        for box in (LIFT_BOX, 6):
+            yield f"arith {name} {box}", lambda n=name, box=box: arith_at(n, box)
 
 
 def test_lift_outputs_match_recorded_digests():
@@ -77,14 +82,27 @@ def test_lift_outputs_match_recorded_digests():
     assert not bad, bad
 
 
-@pytest.mark.parametrize("name", EXP6_NAMES)
-def test_exp_lifts_agree_across_boxes(name):
-    small, big = exp_at(name, LIFT_BOX), exp_at(name, 6)
+def _assert_monotone(small, big):
+    """Both lifts pass ``check()`` and certify their box, and the box-6 one
+    agrees with the box-4 one on every (q, s) the box-4 one claims."""
     for F, box in ((small, 24 * LIFT_BOX), (big, 144)):
         F.series.check().certified((box, box))
     assert big.series.restricted(small.series.trunc[::2]).coeffs == small.series.coeffs
-    assert ((big.level, big.weight, big.char)
-            == (small.level, small.weight, small.char))
+    assert ((big.level, big.weight, big.char, big.mu)
+            == (small.level, small.weight, small.char, small.mu))
+
+
+@pytest.mark.parametrize("name", EXP6_NAMES)
+def test_exp_lifts_agree_across_boxes(name):
+    _assert_monotone(exp_at(name, LIFT_BOX), exp_at(name, 6))
+
+
+@pytest.mark.parametrize("name", ARITH_NAMES)
+def test_arith_lifts_agree_across_boxes(name):
+    small, big = arith_at(name, LIFT_BOX), arith_at(name, 6)
+    _assert_monotone(small, big)
+    # the lift computes exactly its box, so it claims no numerator past it
+    assert small.series.trunc[::2] == (24 * LIFT_BOX, 24 * LIFT_BOX)
 
 
 if __name__ == "__main__":

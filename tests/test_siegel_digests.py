@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from paramodular import cli, siegel
+from paramodular import cli, lift, siegel
 
 MANIFEST = Path(__file__).resolve().parent / "siegel_digests.json"
 
@@ -28,7 +28,7 @@ EXPORTS = (("msym", "delta1", 1, 3), ("msym", "delta1", 2, 3),
 
 def export(verb, form, p, box):
     q = s = 24 * box
-    build = lambda Q, S: cli._siegel_object(form, Q, S)
+    build = lambda Q, S: lift.siegel_expansion(form, Q, S)
     if verb == "msym":
         ser = siegel.ms_p_of(build, p, q, s).series
     elif verb == "heckeprod":
