@@ -67,7 +67,7 @@ class JacobiExpansion:
                 out[b] = c
         return out
 
-    def norm_map(self, strict: bool = True) -> dict:
+    def norm_map(self) -> dict:
         """Norm (4tn - l^2, integer units) -> coefficient, for weight-0
         integer-index forms whose coefficients depend on the norm only."""
         t = self.index
@@ -76,11 +76,8 @@ class JacobiExpansion:
         out = {}
         for key, c in self.series.terms():
             norm = _norm(t.numerator, key)
-            if norm in out:
-                if strict and out[norm] != c:
-                    raise ValueError(f"coefficients are not norm-dependent at norm {norm}")
-            else:
-                out[norm] = c
+            if out.setdefault(norm, c) != c:
+                raise ValueError(f"coefficients are not norm-dependent at norm {norm}")
         return out
 
     # -- arithmetic -----------------------------------------------------
@@ -326,12 +323,12 @@ def catalog(name: str, qmax: int) -> JacobiExpansion:
     """The named form, complete for q-numerators <= qmax (exponent n/24) and
     restricted to them, so what a caller gets never depends on what ran
     before it.  The cache keeps the deepest build."""
-    if name not in _BUILDERS:
+    if name not in _CATALOG:
         raise KeyError(f"unknown catalog form {name!r}")
     with _LOCK:
         form = _CACHE.get(name)
     if form is None or (form.qmax is not None and form.qmax < qmax):
-        form = _BUILDERS[name](qmax)
+        form = _CATALOG[name][0](qmax)
         if form.qmax is not None and form.qmax < qmax:
             raise RuntimeError(f"catalog builder for {name!r} delivered q-depth "
                                f"{form.qmax}, short of the requested {qmax}")
@@ -480,69 +477,76 @@ def ratio(num, den=(), kind="weak"):
 
 _TH1, _TH2 = ("theta", 1), ("theta", 2)
 
-_BUILDERS = {
-    "theta": ratio([_TH1], kind="cusp"),
-    "theta32": ratio([("theta32", 1)], kind="cusp"),
-    "xi_0_3half": ratio([_TH2], [_TH1]),
-    "xi_0_6": _b_xi_0_6,
-    "xi_0_12": ratio([("theta", 6), _TH1], [("theta", 3), _TH2]),
-    "phi_0_1": _b_phi_0_1,
-    "phi_0_2": ratio(["phi_2_2"], [("eta", 4)]),
-    "phi_0_3": ratio(["xi_0_3half", "xi_0_3half"]),
-    "phi_0_4": ratio([("theta", 3)], [_TH1]),
-    "phi_0_5": ratio(["phi_0_2", "phi_0_3"]),
-    "phi_0_5_alt": _b_phi_0_5_alt,
-    "phi_0_9": _b_phi_0_9,
-    "phi_0_10": ratio(["phi_0_4", "xi_0_6"]),
-    "phi_0_18": ratio(["xi_0_12", "xi_0_6"]),
-    "phi_0_36": ratio([("theta", 10), _TH1], [("theta", 5), _TH2]),
-    "phi_m2_1": ratio([_TH1, _TH1], [("eta", 6)]),
-    "phi_1_4": ratio([("eta", 2), "phi_0_4"], kind="holomorphic"),
-    "phi_2_2": phi_2_2_sum,
-    "phi_3_1": ratio(["phi_12_1"], [("eta", 18)], kind="holomorphic"),
-    "phi_12_1": _b_phi_12_1,
-    "psi_3half_8": ratio([("eta", 3), "phi_0_4", "phi_0_4"], kind="holomorphic"),
-    "E2": lambda qmax: eisenstein(2, qmax),
-    "E4": lambda qmax: eisenstein(4, qmax),
-    "E6": lambda qmax: eisenstein(6, qmax),
-    "E4_1": _b_e4_1,
-    "E6_1": _b_e6_1,
-    "delta_tau": ratio([("eta", 24)], kind="cusp"),
-    "theta8": _b_theta8,
-    "phi_0_2_11": _b_phi_0_2_11,
-    "phi_0_3_6": _b_phi_0_3_6,
-    "phi_0_1_t02m2": _b_phi_0_1_t02m2,
-    "psi_0_2": _b_psi_0_2,
-    "psi_0_3": _b_psi_0_3,
-    "psi_0_4": _b_psi_0_4,
+# name -> (the builder of the form on q-numerators <= qmax, the route that
+# the manifest prints for it, "" where none is written)
+_CATALOG = {
+    "theta": (ratio([_TH1], kind="cusp"), "odd binary theta sum over half-integer squares"),
+    "theta32": (ratio([("theta32", 1)], kind="cusp"), "quintuple-product theta sum"),
+    "xi_0_3half": (ratio([_TH2], [_TH1]), "theta(tau,2z)/theta(tau,z)"),
+    "xi_0_6": (_b_xi_0_6, "xi_0_3half at (tau, 2z)"),
+    "xi_0_12": (ratio([("theta", 6), _TH1], [("theta", 3), _TH2]),
+                "theta(6z) theta(z) / (theta(3z) theta(2z))"),
+    "phi_0_1": (_b_phi_0_1, "-6 (4n - l^2) phi_m2_1 - 5 E2 phi_m2_1 (heat operator)"),
+    "phi_0_2": (ratio(["phi_2_2"], [("eta", 4)]), "theta-bracket phi_2_2 / eta^4"),
+    "phi_0_3": (ratio(["xi_0_3half", "xi_0_3half"]), "(theta(2z)/theta(z))^2"),
+    "phi_0_4": (ratio([("theta", 3)], [_TH1]), "theta(3z)/theta(z)"),
+    "phi_0_5": (ratio(["phi_0_2", "phi_0_3"]), "phi_0_2 * phi_0_3"),
+    "phi_0_5_alt": (_b_phi_0_5_alt, "2 phi_0_2 phi_0_3 - phi_0_1 phi_0_4"),
+    "phi_0_9": (_b_phi_0_9, "phi_0_1(3z) + 7 phi_0_3 xi_0_6 - phi_0_3^3"),
+    "phi_0_10": (ratio(["phi_0_4", "xi_0_6"]), "phi_0_4 * xi_0_6"),
+    "phi_0_18": (ratio(["xi_0_12", "xi_0_6"]), "xi_0_12 * xi_0_6"),
+    "phi_0_36": (ratio([("theta", 10), _TH1], [("theta", 5), _TH2]),
+                 "theta(10z) theta(z) / (theta(5z) theta(2z))"),
+    "phi_m2_1": (ratio([_TH1, _TH1], [("eta", 6)]), "theta^2 / eta^6"),
+    "phi_1_4": (ratio([("eta", 2), "phi_0_4"], kind="holomorphic"), "eta^2 * phi_0_4"),
+    "phi_2_2": (phi_2_2_sum, "theta-bracket double sum"),
+    "phi_3_1": (ratio(["phi_12_1"], [("eta", 18)], kind="holomorphic"), "phi_12_1 / eta^18"),
+    "phi_12_1": (_b_phi_12_1, "(E4^2 E4_1 - E6 E6_1)/144"),
+    "psi_3half_8": (ratio([("eta", 3), "phi_0_4", "phi_0_4"], kind="holomorphic"), ""),
+    "E2": (lambda qmax: eisenstein(2, qmax), ""),
+    "E4": (lambda qmax: eisenstein(4, qmax), ""),
+    "E6": (lambda qmax: eisenstein(6, qmax), ""),
+    "E4_1": (_b_e4_1, "(E4 phi_0_1 - E6 phi_m2_1)/12"),
+    "E6_1": (_b_e6_1, "(E6 phi_0_1 - E4^2 phi_m2_1)/12"),
+    "delta_tau": (ratio([("eta", 24)], kind="cusp"), "eta^24"),
+    "theta8": (_b_theta8, "theta^8"),
+    "phi_0_2_11": (_b_phi_0_2_11, "phi_0_1 | Tminus(2) - 2 phi_0_2"),
+    "phi_0_3_6": (_b_phi_0_3_6, "phi_0_3 | (T0(2) - 3)"),
+    "phi_0_1_t02m2": (_b_phi_0_1_t02m2, "phi_0_1 | (T0(2) - 2)"),
+    "psi_0_2": (_b_psi_0_2, "E6_1^2/Delta - 2 phi_0_2_11 + 176 phi_0_2"),
+    "psi_0_3": (_b_psi_0_3, "E4_1^3/Delta - 3 phi_0_3_6 - 171 phi_0_3"),
+    "psi_0_4": (_b_psi_0_4,
+                "(phi_0_1|(T0(2)+26))(2z) - E4 theta^8/Delta - 8 phi_0_4|(T0(3)+4)"),
     # arithmetic-lift inputs
-    "eta1_theta": ratio([("eta", 1), _TH1], kind="cusp"),
-    "eta3_theta": ratio([("eta", 3), _TH1], kind="cusp"),
-    "eta9_theta": ratio([("eta", 9), _TH1], kind="cusp"),
-    "eta1_theta32": ratio([("eta", 1), ("theta32", 1)], kind="cusp"),
-    "eta3_theta32": ratio([("eta", 3), ("theta32", 1)], kind="cusp"),
-    "eta11_theta32": ratio([("eta", 11), ("theta32", 1)], kind="cusp"),
-    "eta21_theta2z": ratio([("eta", 21), _TH2], kind="cusp"),
-    "eta5_theta2z": ratio([("eta", 5), _TH2], kind="cusp"),
-    "eta3_theta6_theta2z": ratio([("eta", 3)] + [_TH1] * 6 + [_TH2], kind="cusp"),
-    "eta6_theta_theta2z": ratio([("eta", 6), _TH1, _TH2], kind="cusp"),
-    "eta3_theta2_theta2z": ratio([("eta", 3), _TH1, _TH1, _TH2], kind="cusp"),
-    "theta3_theta2z": ratio([_TH1, _TH1, _TH1, _TH2], kind="cusp"),
-    "theta_theta2z": ratio([_TH1, _TH2], kind="cusp"),
+    "eta1_theta": (ratio([("eta", 1), _TH1], kind="cusp"), ""),
+    "eta3_theta": (ratio([("eta", 3), _TH1], kind="cusp"), ""),
+    "eta9_theta": (ratio([("eta", 9), _TH1], kind="cusp"), ""),
+    "eta1_theta32": (ratio([("eta", 1), ("theta32", 1)], kind="cusp"), ""),
+    "eta3_theta32": (ratio([("eta", 3), ("theta32", 1)], kind="cusp"), ""),
+    "eta11_theta32": (ratio([("eta", 11), ("theta32", 1)], kind="cusp"), ""),
+    "eta21_theta2z": (ratio([("eta", 21), _TH2], kind="cusp"), ""),
+    "eta5_theta2z": (ratio([("eta", 5), _TH2], kind="cusp"), ""),
+    "eta3_theta6_theta2z": (ratio([("eta", 3)] + [_TH1] * 6 + [_TH2], kind="cusp"), ""),
+    "eta6_theta_theta2z": (ratio([("eta", 6), _TH1, _TH2], kind="cusp"), ""),
+    "eta3_theta2_theta2z": (ratio([("eta", 3), _TH1, _TH1, _TH2], kind="cusp"), ""),
+    "theta3_theta2z": (ratio([_TH1, _TH1, _TH1, _TH2], kind="cusp"), ""),
+    "theta_theta2z": (ratio([_TH1, _TH2], kind="cusp"), ""),
     # exp-lift inputs for the level 5-7 identities
-    "phi_0_6_a": lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(3)
-                               - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(2)
-                               ).with_kind("weak"),
-    "phi_0_6_b": lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(5)
-                               - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(4)
-                               ).with_kind("weak"),
-    "phi_0_6_c": ratio(["phi_0_3", "phi_0_3"]),
-    "phi_0_7": ratio(["phi_0_3", "phi_0_4"]),
+    "phi_0_6_a": (lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(3)
+                                - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(2)
+                                ).with_kind("weak"),
+                  "3 phi_0_3^2 - 2 phi_0_2 phi_0_4"),
+    "phi_0_6_b": (lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(5)
+                                - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(4)
+                                ).with_kind("weak"),
+                  "5 phi_0_3^2 - 4 phi_0_2 phi_0_4"),
+    "phi_0_6_c": (ratio(["phi_0_3", "phi_0_3"]), "phi_0_3^2"),
+    "phi_0_7": (ratio(["phi_0_3", "phi_0_4"]), "phi_0_3 * phi_0_4"),
 }
 
 
 def registry_names():
-    return sorted(_BUILDERS)
+    return sorted(_CATALOG)
 
 
 def manifest() -> dict:
@@ -556,44 +560,7 @@ def manifest() -> dict:
             "D": f.char.D,
             "epsilon": f.char.eps,
             "kind": f.kind,
-            "route": _ROUTES.get(name, ""),
+            "route": _CATALOG[name][1],
         }
     return out
 
-
-_ROUTES = {
-    "theta": "odd binary theta sum over half-integer squares",
-    "theta32": "quintuple-product theta sum",
-    "xi_0_3half": "theta(tau,2z)/theta(tau,z)",
-    "xi_0_6": "xi_0_3half at (tau, 2z)",
-    "xi_0_12": "theta(6z) theta(z) / (theta(3z) theta(2z))",
-    "phi_0_1": "-6 (4n - l^2) phi_m2_1 - 5 E2 phi_m2_1 (heat operator)",
-    "phi_0_2": "theta-bracket phi_2_2 / eta^4",
-    "phi_0_3": "(theta(2z)/theta(z))^2",
-    "phi_0_4": "theta(3z)/theta(z)",
-    "phi_0_5": "phi_0_2 * phi_0_3",
-    "phi_0_5_alt": "2 phi_0_2 phi_0_3 - phi_0_1 phi_0_4",
-    "phi_0_9": "phi_0_1(3z) + 7 phi_0_3 xi_0_6 - phi_0_3^3",
-    "phi_0_10": "phi_0_4 * xi_0_6",
-    "phi_0_18": "xi_0_12 * xi_0_6",
-    "phi_0_36": "theta(10z) theta(z) / (theta(5z) theta(2z))",
-    "phi_m2_1": "theta^2 / eta^6",
-    "phi_1_4": "eta^2 * phi_0_4",
-    "phi_2_2": "theta-bracket double sum",
-    "phi_3_1": "phi_12_1 / eta^18",
-    "phi_12_1": "(E4^2 E4_1 - E6 E6_1)/144",
-    "E4_1": "(E4 phi_0_1 - E6 phi_m2_1)/12",
-    "E6_1": "(E6 phi_0_1 - E4^2 phi_m2_1)/12",
-    "delta_tau": "eta^24",
-    "theta8": "theta^8",
-    "phi_0_2_11": "phi_0_1 | Tminus(2) - 2 phi_0_2",
-    "phi_0_3_6": "phi_0_3 | (T0(2) - 3)",
-    "phi_0_1_t02m2": "phi_0_1 | (T0(2) - 2)",
-    "psi_0_2": "E6_1^2/Delta - 2 phi_0_2_11 + 176 phi_0_2",
-    "psi_0_3": "E4_1^3/Delta - 3 phi_0_3_6 - 171 phi_0_3",
-    "psi_0_4": "(phi_0_1|(T0(2)+26))(2z) - E4 theta^8/Delta - 8 phi_0_4|(T0(3)+4)",
-    "phi_0_6_a": "3 phi_0_3^2 - 2 phi_0_2 phi_0_4",
-    "phi_0_6_b": "5 phi_0_3^2 - 4 phi_0_2 phi_0_4",
-    "phi_0_6_c": "phi_0_3^2",
-    "phi_0_7": "phi_0_3 * phi_0_4",
-}

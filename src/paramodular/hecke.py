@@ -58,18 +58,15 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
                            phi.char, phi.kind)
 
 
-def t_minus_char(phi: JacobiExpansion, m: int, Q: int | None = None,
-                 D: int | None = None) -> JacobiExpansion:
+def t_minus_char(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     """Index-raising operator twisted by the eta-character of even D | 24:
     contributions a^(k-1) * v_eta_sigma(a, D) * f(m n / a^2, l / a),
     normalized so that the image's first Fourier-Jacobi data match the
     printed leading slices of the lifted examples."""
-    if D is None:
-        D = phi.char.D
+    D = phi.char.D
     if D % 2 or D == 0 or 24 % D:
         raise ValueError("need an even D dividing 24")
-    if Q is None:
-        Q = 24 // D
+    Q = 24 // D
     if gcd(m, Q * (2 ** phi.char.eps)) != 1:
         raise ValueError(f"m={m} must be coprime to {Q * 2 ** phi.char.eps}")
     if phi.weight.denominator != 1:
@@ -100,7 +97,7 @@ def t_minus_char(phi: JacobiExpansion, m: int, Q: int | None = None,
 
 def gauss_sum(p: int, n: int, l: int, t: int) -> int:
     """Quadratic exponential sum attached to the index-preserving operator,
-    in closed form."""
+    in closed form for a prime p."""
     if t % p:
         return p * kronecker(-(4 * n * t - l * l), p)
     if l % p:
@@ -228,14 +225,12 @@ def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
         lb = isqrt(4 * n + 1) + 1
         for l in range(-lb, lb + 1):
             N = 4 * n - l * l
-            val = 8 * Fraction(_norm_lookup(nm, 2, 4 * N, qmax_paper))
+            val = 8 * _norm_lookup(nm, 2, 4 * N, qmax_paper)
             sym = kronecker(-N, 2)
             if sym + 1:
                 val += 2 * (sym + 1) * _norm_lookup(nm, 2, N, qmax_paper)
             if val:
-                if val.denominator != 1:
-                    raise ArithmeticError(f"non-integral image coefficient {val}")
-                coeffs[(24 * n, 2 * l)] = val.numerator
+                coeffs[(24 * n, 2 * l)] = val
     return JacobiExpansion(_image_series(coeffs, 24 * tout, 0), 0, Fraction(1),
                            phi.char, phi.kind)
 
@@ -330,6 +325,12 @@ class HeckeDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        p = self.param
+        if p < 1:
+            raise ValueError(f"{self.kind} wants a parameter >= 1, got {p}")
+        # the three-term formula and gauss_sum's closed form hold for prime p
+        if self.kind == "t0" and (p == 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
+            raise ValueError(f"t0 wants a prime p, got {p}")
 
     def apply(self, phi: JacobiExpansion) -> JacobiExpansion:
         return _KINDS[self.kind][0](phi, self.param)

@@ -2,17 +2,23 @@
 
 The lattice is U(4t) + <2> with basis coordinates (n, l, m) and bilinear
 form (x, y) = 2 x2 y2 - 4t (x1 y3 + x3 y1).  Each case record carries the
-simple roots bounding the fundamental polyhedron, the odd subset, the Weyl
-vector and (for the infinite cases) the symmetry generators that
-materialize the root set; the printed Gram and Cartan tables are recomputed
-from the vectors and compared entrywise.
+simple roots bounding the fundamental polyhedron, the odd subset and the
+Weyl vector; the infinite cases materialize their root set as the orbit of
+seed roots under symmetry reflections.  The printed Gram and Cartan tables
+are recomputed from the vectors and compared entrywise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
+
+# the orbit-built root sets keep every coordinate within _BOUND, and
+# reduce_to_root gives up after _MAX_STEPS reflections
+_BOUND = 40
+_MAX_STEPS = 4000
 
 
 @dataclass(frozen=True)
@@ -62,13 +68,12 @@ class RootDatum:
     roots: list
     odd: set                      # indices into roots forming the odd subset
     rho: tuple
-    sym_gens: list = field(default_factory=list)
     printed_gram: tuple | None = None
     printed_cartan: tuple | None = None
-    parabolic: bool = False
     # optional second table (full reflection group data) for validation
     roots0: list | None = None
     printed_gram0: tuple | None = None
+    parabolic: bool = False
 
     def gram(self):
         return self.lattice.gram(self.roots)
@@ -80,7 +85,7 @@ class RootDatum:
             nn = g[i][i]
             line = []
             for x in row:
-                v = 2 * Fraction(x) / nn
+                v = 2 * x / nn
                 if v.denominator != 1:
                     raise ValueError(f"non-integral Cartan entry {v} in {self.case_id}")
                 line.append(v.numerator)
@@ -89,13 +94,10 @@ class RootDatum:
 
     def check(self):
         """Validate the printed tables and the structural root-datum laws."""
-        g = self.gram()
-        if self.printed_gram is not None and g != tuple(
-                tuple(Fraction(x) for x in row) for row in self.printed_gram):
+        if self.printed_gram is not None and self.gram() != self.printed_gram:
             raise AssertionError(f"{self.case_id}: Gram matrix differs from the table")
         a = self.cartan()
-        if self.printed_cartan is not None and a != tuple(
-                tuple(int(x) for x in row) for row in self.printed_cartan):
+        if self.printed_cartan is not None and a != self.printed_cartan:
             raise AssertionError(f"{self.case_id}: Cartan matrix differs from the table")
         for i, al in enumerate(self.roots):
             nn = self.lattice.norm(al)
@@ -105,23 +107,22 @@ class RootDatum:
                         ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
             gg = 0
             for p in pairings:
-                if Fraction(p).denominator != 1:
+                if p.denominator != 1:
                     raise AssertionError(f"{self.case_id}: non-integral pairing")
                 gg = gcd(gg, int(p))
             if (2 * gg) % int(nn):
                 raise AssertionError(f"{self.case_id}: norm of {al} does not divide "
                                      f"twice its pairing ideal")
-            if self.lattice.pair(self.rho, al) != -Fraction(nn) / 2:
+            if self.lattice.pair(self.rho, al) != -nn / 2:
                 raise AssertionError(f"{self.case_id}: Weyl-vector law fails at {al}")
         rr = self.lattice.norm(self.rho)
         if self.parabolic and rr != 0:
             raise AssertionError(f"{self.case_id}: expected parabolic (rho,rho)=0, got {rr}")
         if not self.parabolic and rr >= 0:
             raise AssertionError(f"{self.case_id}: expected elliptic (rho,rho)<0, got {rr}")
-        if self.roots0 is not None and self.printed_gram0 is not None:
-            g0 = self.lattice.gram(self.roots0)
-            if g0 != tuple(tuple(Fraction(x) for x in row) for row in self.printed_gram0):
-                raise AssertionError(f"{self.case_id}: auxiliary Gram table differs")
+        if self.printed_gram0 is not None and \
+                self.lattice.gram(self.roots0) != self.printed_gram0:
+            raise AssertionError(f"{self.case_id}: auxiliary Gram table differs")
         for i in range(len(a)):
             for j in range(len(a)):
                 if i == j:
@@ -132,10 +133,10 @@ class RootDatum:
         return True
 
 
-def _materialize(lattice, seeds, sym_gens, bound):
-    """Close the seed roots under the symmetry reflections while components
-    stay within the bound."""
-    mats = [reflection_matrix(lattice, g) for g in sym_gens]
+def _materialize(lattice, seeds, gens):
+    """Close the seed roots under the reflections in ``gens`` while
+    components stay within _BOUND."""
+    mats = [reflection_matrix(lattice, g) for g in gens]
     seen = set()
     frontier = [tuple(Fraction(x) for x in s) for s in seeds]
     out = []
@@ -149,143 +150,116 @@ def _materialize(lattice, seeds, sym_gens, bound):
                 out.append(tuple(int(x) for x in v))
             for m in mats:
                 w = mat_vec(m, v)
-                if w not in seen and all(abs(x) <= bound for x in w):
+                if w not in seen and all(abs(x) <= _BOUND for x in w):
                     nxt.append(w)
         frontier = nxt
     return sorted(out)
 
 
-def build_datum(case_id: str, bound: int = 40) -> RootDatum:
+def build_datum(case_id: str) -> RootDatum:
     if case_id not in _CASES:
         raise KeyError(f"unknown case {case_id!r}; have {sorted(_CASES)}")
-    datum = _CASES[case_id](bound)
+    datum = _CASES[case_id]()
     datum.check()
     return datum
 
 
-def _case_t_I_odd(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_I_odd", lat,
-            [(0, -1, 0), (1, 2, 0), (-1, 0, 1)], {0},
-            (Fraction(2 * t + 3, 2 * t), Fraction(1, 2), Fraction(3, 2 * t)),
-            printed_gram=((2, -4, 0), (-4, 8, -4 * t), (0, -4 * t, 8 * t)),
-            printed_cartan=((2, -4, 0), (-1, 2, -t), (0, -1, 2)))
-    return make
+# The cases whose simple roots are finitely many fixed vectors.  Case-id
+# pattern -> (the values of t it is printed for, t -> (simple roots, odd
+# subset, Weyl vector, printed Gram, printed Cartan[, auxiliary roots, their
+# printed Gram])); D2 is printed for t = 9 only and names no t.
+_FIXED = {
+    "t{}_I_odd": ((1, 2, 3, 4), lambda t: (
+        [(0, -1, 0), (1, 2, 0), (-1, 0, 1)], {0},
+        (Fraction(2 * t + 3, 2 * t), Fraction(1, 2), Fraction(3, 2 * t)),
+        ((2, -4, 0), (-4, 8, -4 * t), (0, -4 * t, 8 * t)),
+        ((2, -4, 0), (-1, 2, -t), (0, -1, 2)))),
+    "t{}_0_odd": ((1, 2, 3, 4), lambda t: (
+        [(0, -2, 0), (1, 2, 0), (-1, 0, 1)], set(),
+        (Fraction(t + 2, t), Fraction(1), Fraction(2, t)),
+        ((8, -8, 0), (-8, 8, -4 * t), (0, -4 * t, 8 * t)),
+        ((2, -2, 0), (-2, 2, -t), (0, -1, 2)))),
+    "t{}_I_odd_tilde": ((1, 2, 3, 4), lambda t: (
+        [(1, 2, 0), (-1, 0, 1), (1, -2, 0)], set(),
+        (Fraction(t + 1, t), Fraction(0), Fraction(1, t)),
+        ((8, -4 * t, -8), (-4 * t, 8 * t, -4 * t), (-8, -4 * t, 8)),
+        ((2, -t, -2), (-1, 2, -1), (-2, -t, 2)))),
+    "t{}_II_odd": ((2, 3, 4), lambda t: (
+        [(0, -2, 0), (-1, 0, 1), (t - 1, 2 * t, 1), (2, 2, 0)], set(),
+        (Fraction(t + 1, t), Fraction(1), Fraction(1, t)),
+        ((8, 0, -8 * t, -8),
+         (0, 8 * t, -4 * t * t + 8 * t, -8 * t),
+         (-8 * t, -4 * t * t + 8 * t, 8 * t, 0),
+         (-8, -8 * t, 0, 8)),
+        ((2, 0, -2 * t, -2), (0, 2, -t + 2, -2),
+         (-2, -t + 2, 2, 0), (-2, -2 * t, 0, 2)))),
+    "t{}_0_even": ((2, 3, 4), lambda t: (
+        [(0, -2, 0), (1, 2, 0), (0, 2, 1)], set(),
+        (Fraction(2, t), Fraction(1), Fraction(2, t)),
+        ((8, -8, -8), (-8, 8, -4 * t + 8), (-8, -4 * t + 8, 8)),
+        ((2, -2, -2), (-2, 2, -t + 2), (-2, -t + 2, 2)))),
+    "t{}_I_even": ((2, 3, 4), lambda t: (
+        [(0, -1, 0), (1, 2, 0), (0, 2, 1)], {0},
+        (Fraction(3, 2 * t), Fraction(1, 2), Fraction(3, 2 * t)),
+        ((2, -4, -4), (-4, 8, -4 * t + 8), (-4, -4 * t + 8, 8)),
+        ((2, -4, -4), (-1, 2, -t + 2), (-1, -t + 2, 2)))),
+    "t{}_I_even_tilde": ((2, 3, 4), lambda t: (
+        [(1, 2, 0), (0, 2, 1), (0, -2, 1), (1, -2, 0)], set(),
+        (Fraction(1, t), Fraction(0), Fraction(1, t)),
+        ((8, -4 * t + 8, -4 * t - 8, -8),
+         (-4 * t + 8, 8, -8, -4 * t - 8),
+         (-4 * t - 8, -8, 8, -4 * t + 8),
+         (-8, -4 * t - 8, -4 * t + 8, 8)),
+        ((2, -t + 2, -t - 2, -2), (-t + 2, 2, -2, -t - 2),
+         (-t - 2, -2, 2, -t + 2), (-2, -t - 2, -t + 2, 2)))),
+    "D2": ((9,), lambda t: (
+        [(0, -1, 0), (1, 2, 0), (2, 9, 1), (1, 9, 2), (0, 2, 1)], {0},
+        (Fraction(1, 6), Fraction(1, 2), Fraction(1, 6)),
+        ((2, -4, -18, -18, -4),
+         (-4, 8, 0, -36, -28),
+         (-18, 0, 18, -18, -36),
+         (-18, -36, -18, 18, 0),
+         (-4, -28, -36, 0, 8)),
+        ((2, -4, -18, -18, -4),
+         (-1, 2, 0, -9, -7),
+         (-2, 0, 2, -2, -4),
+         (-2, -4, -2, 2, 0),
+         (-1, -7, -9, 0, 2)),
+        [(0, -1, 0), (1, 2, 0), (2, 9, 1), (-1, 0, 1)],
+        ((2, -4, -18, 0),
+         (-4, 8, 0, -36),
+         (-18, 0, 18, -36),
+         (0, -36, -36, 72)))),
+}
 
 
-def _case_t_0_odd(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_0_odd", lat,
-            [(0, -2, 0), (1, 2, 0), (-1, 0, 1)], set(),
-            (Fraction(t + 2, t), Fraction(1), Fraction(2, t)),
-            printed_gram=((8, -8, 0), (-8, 8, -4 * t), (0, -4 * t, 8 * t)),
-            printed_cartan=((2, -2, 0), (-2, 2, -t), (0, -1, 2)))
-    return make
+def _fixed(pattern, t, row):
+    return RootDatum(pattern.format(t), HypLattice(Fraction(t)), *row(t))
 
 
-def _case_t_I_odd_tilde(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_I_odd_tilde", lat,
-            [(1, 2, 0), (-1, 0, 1), (1, -2, 0)], set(),
-            (Fraction(t + 1, t), Fraction(0), Fraction(1, t)),
-            sym_gens=[(0, -1, 0)],
-            printed_gram=((8, -4 * t, -8), (-4 * t, 8 * t, -4 * t), (-8, -4 * t, 8)),
-            printed_cartan=((2, -t, -2), (-1, 2, -1), (-2, -t, 2)))
-    return make
-
-
-def _case_t_II_odd(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_II_odd", lat,
-            [(0, -2, 0), (-1, 0, 1), (t - 1, 2 * t, 1), (2, 2, 0)], set(),
-            (Fraction(t + 1, t), Fraction(1), Fraction(1, t)),
-            sym_gens=[(1, 2, 0)],
-            printed_gram=((8, 0, -8 * t, -8),
-                          (0, 8 * t, -4 * t * t + 8 * t, -8 * t),
-                          (-8 * t, -4 * t * t + 8 * t, 8 * t, 0),
-                          (-8, -8 * t, 0, 8)),
-            printed_cartan=((2, 0, -2 * t, -2), (0, 2, -t + 2, -2),
-                            (-2, -t + 2, 2, 0), (-2, -2 * t, 0, 2)))
-    return make
-
-
-def _case_t_1bar(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        roots = _materialize(lat, [(-1, 0, 1)], [(0, -1, 0), (1, 2, 0)], bound)
-        # all roots are even here: the odd subset is empty
-        datum = RootDatum(
-            f"t{t}_1bar", lat, roots, set(), (Fraction(1), Fraction(0), Fraction(0)),
-            sym_gens=[(0, -1, 0), (1, 2, 0)], parabolic=True)
-        # defining predicate: primitive, norm 8t, pairings divisible by 4t,
-        # (delta, rho) = -4t.  With rho = (1, 0, 0) the pairing is -4t m, so
-        # m = 1, and norm 2 l^2 - 8t n = 8t gives n = (l^2 - 4t) / 4t; every
-        # such root with max|v| <= bound // 8 must be in the orbit
-        w = bound // 8
-        have = set(map(tuple, roots))
-        for l in range(-w, w + 1):
-            n, rem = divmod(l * l - 4 * t, 4 * t)
-            v = (n, l, 1)
-            if rem or abs(n) > w or gcd(*v) != 1:
-                continue
-            pair_ideal = gcd(gcd(abs(int(lat.pair(v, (1, 0, 0)))),
-                                 abs(int(lat.pair(v, (0, 1, 0))))),
-                             abs(int(lat.pair(v, (0, 0, 1)))))
-            if pair_ideal % (4 * t) == 0 and v not in have:
-                raise AssertionError(f"t{t}_1bar: predicate root {v} missing from orbit")
-        return datum
-    return make
-
-
-def _case_t_0_even(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_0_even", lat,
-            [(0, -2, 0), (1, 2, 0), (0, 2, 1)], set(),
-            (Fraction(2, t), Fraction(1), Fraction(2, t)),
-            sym_gens=[(-1, 0, 1)],
-            printed_gram=((8, -8, -8), (-8, 8, -4 * t + 8), (-8, -4 * t + 8, 8)),
-            printed_cartan=((2, -2, -2), (-2, 2, -t + 2), (-2, -t + 2, 2)))
-    return make
-
-
-def _case_t_I_even(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_I_even", lat,
-            [(0, -1, 0), (1, 2, 0), (0, 2, 1)], {0},
-            (Fraction(3, 2 * t), Fraction(1, 2), Fraction(3, 2 * t)),
-            sym_gens=[(-1, 0, 1)],
-            printed_gram=((2, -4, -4), (-4, 8, -4 * t + 8), (-4, -4 * t + 8, 8)),
-            printed_cartan=((2, -4, -4), (-1, 2, -t + 2), (-1, -t + 2, 2)))
-    return make
-
-
-def _case_t_I_even_tilde(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        return RootDatum(
-            f"t{t}_I_even_tilde", lat,
-            [(1, 2, 0), (0, 2, 1), (0, -2, 1), (1, -2, 0)], set(),
-            (Fraction(1, t), Fraction(0), Fraction(1, t)),
-            sym_gens=[(0, -1, 0), (-1, 0, 1)],
-            printed_gram=((8, -4 * t + 8, -4 * t - 8, -8),
-                          (-4 * t + 8, 8, -8, -4 * t - 8),
-                          (-4 * t - 8, -8, 8, -4 * t + 8),
-                          (-8, -4 * t - 8, -4 * t + 8, 8)),
-            printed_cartan=((2, -t + 2, -t - 2, -2), (-t + 2, 2, -2, -t - 2),
-                            (-t - 2, -2, 2, -t + 2), (-2, -t - 2, -t + 2, 2)))
-    return make
+def _t_1bar(t):
+    lat = HypLattice(Fraction(t))
+    roots = _materialize(lat, [(-1, 0, 1)], [(0, -1, 0), (1, 2, 0)])
+    # all roots are even here: the odd subset is empty
+    datum = RootDatum(f"t{t}_1bar", lat, roots, set(),
+                      (Fraction(1), Fraction(0), Fraction(0)), parabolic=True)
+    # defining predicate: primitive, norm 8t, pairings divisible by 4t,
+    # (delta, rho) = -4t.  With rho = (1, 0, 0) the pairing is -4t m, so
+    # m = 1, and norm 2 l^2 - 8t n = 8t gives n = (l^2 - 4t) / 4t; every
+    # such root with max|v| <= _BOUND // 8 must be in the orbit
+    w = _BOUND // 8
+    have = set(roots)
+    for l in range(-w, w + 1):
+        n, rem = divmod(l * l - 4 * t, 4 * t)
+        v = (n, l, 1)
+        if rem or abs(n) > w or gcd(*v) != 1:
+            continue
+        pair_ideal = gcd(gcd(abs(int(lat.pair(v, (1, 0, 0)))),
+                             abs(int(lat.pair(v, (0, 1, 0))))),
+                         abs(int(lat.pair(v, (0, 0, 1)))))
+        if pair_ideal % (4 * t) == 0 and v not in have:
+            raise AssertionError(f"t{t}_1bar: predicate root {v} missing from orbit")
+    return datum
 
 
 _T_II_EVEN_ROOTS = {
@@ -295,76 +269,42 @@ _T_II_EVEN_ROOTS = {
 }
 
 
-def _case_t_II_even(t):
-    def make(bound):
-        lat = HypLattice(Fraction(t))
-        rho = (Fraction(1, 2 * t), Fraction(1, 2), Fraction(1, 2 * t))
-        if t in _T_II_EVEN_ROOTS:
-            roots = list(_T_II_EVEN_ROOTS[t])
-        else:
-            roots = _materialize(lat, [(0, -1, 0)], [(1, 2, 0), (-1, 0, 1)], bound)
-            for v in _enumerate_box(lat, bound // 8):
-                if lat.norm(v) == 2 and lat.pair(v, rho) == -1 and \
-                        tuple(v) not in set(map(tuple, roots)):
-                    raise AssertionError(f"t{t}_II_even: predicate root {v} missing")
-        datum = RootDatum(
-            f"t{t}_II_even", lat, roots, set(),
-            rho, sym_gens=[(1, 2, 0), (-1, 0, 1)], parabolic=(t == 4))
-        if t in _T_II_EVEN_ROOTS:
-            g = datum.gram()
-            if g != datum.cartan():
-                raise AssertionError("norm-2 case must have Gram = Cartan")
-        return datum
-    return make
+def _t_II_even(t):
+    lat = HypLattice(Fraction(t))
+    rho = (Fraction(1, 2 * t), Fraction(1, 2), Fraction(1, 2 * t))
+    if t in _T_II_EVEN_ROOTS:
+        roots = list(_T_II_EVEN_ROOTS[t])
+    else:
+        roots = _materialize(lat, [(0, -1, 0)], [(1, 2, 0), (-1, 0, 1)])
+        have = set(roots)
+        for v in _enumerate_box(_BOUND // 8):
+            if lat.norm(v) == 2 and lat.pair(v, rho) == -1 and v not in have:
+                raise AssertionError(f"t{t}_II_even: predicate root {v} missing")
+    datum = RootDatum(f"t{t}_II_even", lat, roots, set(), rho, parabolic=(t == 4))
+    if t in _T_II_EVEN_ROOTS and datum.gram() != datum.cartan():
+        raise AssertionError("norm-2 case must have Gram = Cartan")
+    return datum
 
 
-def _case_d2(bound):
-    lat = HypLattice(Fraction(9))
-    return RootDatum(
-        "D2", lat,
-        [(0, -1, 0), (1, 2, 0), (2, 9, 1), (1, 9, 2), (0, 2, 1)], {0},
-        (Fraction(1, 6), Fraction(1, 2), Fraction(1, 6)),
-        sym_gens=[(-1, 0, 1)],
-        printed_gram=((2, -4, -18, -18, -4),
-                      (-4, 8, 0, -36, -28),
-                      (-18, 0, 18, -18, -36),
-                      (-18, -36, -18, 18, 0),
-                      (-4, -28, -36, 0, 8)),
-        printed_cartan=((2, -4, -18, -18, -4),
-                        (-1, 2, 0, -9, -7),
-                        (-2, 0, 2, -2, -4),
-                        (-2, -4, -2, 2, 0),
-                        (-1, -7, -9, 0, 2)),
-        roots0=[(0, -1, 0), (1, 2, 0), (2, 9, 1), (-1, 0, 1)],
-        printed_gram0=((2, -4, -18, 0),
-                       (-4, 8, 0, -36),
-                       (-18, 0, 18, -36),
-                       (0, -36, -36, 72)))
-
-
-def _case_dhalf(bound):
+def _dhalf():
     lat = HypLattice(Fraction(36))
     seeds = [(0, -1, 0), (1, 2, 0), (7, 32, 1), (5, 27, 1)]
     sym = [(2, 18, 1), (-1, 0, 1)]
-    roots = _materialize(lat, seeds, sym, bound)
-    odd_orbit = set(map(tuple, _materialize(lat, [(0, -1, 0)], sym, bound)))
-    odd = {i for i, r in enumerate(roots) if tuple(r) in odd_orbit}
-    datum = RootDatum(
-        "Dhalf", lat, roots, odd,
-        (Fraction(1, 24), Fraction(1, 2), Fraction(1, 24)),
-        sym_gens=sym, parabolic=True,
-        roots0=[(0, -1, 0), (1, 2, 0), (7, 32, 1), (5, 27, 1), (2, 18, 1), (-1, 0, 1)],
+    roots = _materialize(lat, seeds, sym)
+    odd_orbit = set(_materialize(lat, [(0, -1, 0)], sym))
+    return RootDatum(
+        "Dhalf", lat, roots, {i for i, r in enumerate(roots) if r in odd_orbit},
+        (Fraction(1, 24), Fraction(1, 2), Fraction(1, 24)), parabolic=True,
+        roots0=seeds + sym,
         printed_gram0=((2, -4, -64, -54, -36, 0),
                        (-4, 8, -16, -36, -72, -144),
                        (-64, -16, 32, 0, -144, -864),
                        (-54, -36, 0, 18, -36, -576),
                        (-36, -72, -144, -36, 72, -144),
                        (0, -144, -864, -576, -144, 288)))
-    return datum
 
 
-def _enumerate_box(lat, bound):
-    b = max(2, bound)
+def _enumerate_box(b):
     for n in range(-b, b + 1):
         for l in range(-2 * b, 2 * b + 1):
             for m in range(-b, b + 1):
@@ -372,20 +312,12 @@ def _enumerate_box(lat, bound):
                     yield (n, l, m)
 
 
-_CASES = {}
-for _t in (1, 2, 3, 4):
-    _CASES[f"t{_t}_I_odd"] = _case_t_I_odd(_t)
-    _CASES[f"t{_t}_0_odd"] = _case_t_0_odd(_t)
-    _CASES[f"t{_t}_I_odd_tilde"] = _case_t_I_odd_tilde(_t)
-    _CASES[f"t{_t}_II_even"] = _case_t_II_even(_t)
-for _t in (2, 3, 4):
-    _CASES[f"t{_t}_II_odd"] = _case_t_II_odd(_t)
-    _CASES[f"t{_t}_1bar"] = _case_t_1bar(_t)
-    _CASES[f"t{_t}_0_even"] = _case_t_0_even(_t)
-    _CASES[f"t{_t}_I_even"] = _case_t_I_even(_t)
-    _CASES[f"t{_t}_I_even_tilde"] = _case_t_I_even_tilde(_t)
-_CASES["D2"] = _case_d2
-_CASES["Dhalf"] = _case_dhalf
+# case id -> the function that builds its datum
+_CASES = {pattern.format(t): partial(_fixed, pattern, t, row)
+          for pattern, (ts, row) in _FIXED.items() for t in ts}
+_CASES.update({f"t{t}_1bar": partial(_t_1bar, t) for t in (2, 3, 4)})
+_CASES.update({f"t{t}_II_even": partial(_t_II_even, t) for t in (1, 2, 3, 4)})
+_CASES["Dhalf"] = _dhalf
 
 
 def case_ids():
@@ -449,14 +381,14 @@ def enumerate_weyl(datum: RootDatum, height_bound: int) -> list:
     return out
 
 
-def reduce_to_root(datum: RootDatum, v, targets, max_steps: int = 4000):
+def reduce_to_root(datum: RootDatum, v, targets):
     """Drive a positive-norm lattice point through simple reflections with
     positive pairing until it hits one of the target vectors (a simple root
     or a doubled odd one); positive real roots reach a simple root in
     finitely many steps, anything else runs out of steps and returns None."""
     lat = datum.lattice
     v = tuple(Fraction(x) for x in v)
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if v in targets:
             return v
         for al in datum.roots:

@@ -63,7 +63,11 @@ def _arith_box(phi: JacobiExpansion, qmax: int, smax: int):
     """(D, Nmax, Mmax, need) for ``arith_lift``: the eta-character exponent,
     which must be even and divide 24, the largest q- and s-multipliers N, M
     inside the output box, and the input q-numerator depth D*Nmax*Mmax
-    their products reach."""
+    their products reach.  The input must have an integral weight >= 1 (the
+    divisor sum weighs by a^(k-1)) and a positive index."""
+    if phi.weight.denominator != 1 or phi.weight < 1 or phi.index <= 0:
+        raise ValueError(f"arithmetic lifting needs an integral weight >= 1 and a "
+                         f"positive index, not weight {phi.weight}, index {phi.index}")
     D = phi.char.D or 24  # trivial character: conductor 1
     if D % 2 or 24 % D:
         raise ValueError("need an even character exponent D dividing 24")
@@ -83,10 +87,8 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
     where f is indexed over the q^(n/24) lattice.  qmax/smax are numerator
     bounds over denominator 24.
     """
-    if phi.weight.denominator != 1:
-        raise ValueError("arithmetic lifting needs integral weight")
-    k = phi.weight.numerator
     D, Nmax, Mmax, need = _arith_box(phi, qmax, smax)
+    k = phi.weight.numerator
     Q = 24 // D
     if gcd(mu, Q) != 1:
         raise ValueError(f"mu={mu} is not invertible modulo Q={Q}")

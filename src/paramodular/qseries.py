@@ -155,15 +155,15 @@ class Series:
                     del self.coeffs[k]
 
     def check(self) -> "Series":
-        """Raise AssertionError unless every key has ``nvars`` entries, no
-        coefficient is zero, the floor is <= every key in every variable,
-        every key lies in the bounded trunc and r is untruncated; return
-        self."""
+        """Raise AssertionError unless every key has ``nvars`` entries, every
+        coefficient is a nonzero int, the floor is <= every key in every
+        variable, every key lies in the bounded trunc and r is untruncated;
+        return self."""
         bv = bounded_vars(self.nvars)
         if self.nvars > 1 and self.trunc[1] is not None:
             raise AssertionError(f"r is truncated at {self.trunc[1]}")
         for k, c in self.coeffs.items():
-            if len(k) != self.nvars or not c:
+            if len(k) != self.nvars or not isinstance(c, int) or not c:
                 raise AssertionError(f"bad term {k}: {c}")
             if any(x < f for x, f in zip(k, self.floor)):
                 raise AssertionError(f"key {k} below the floor {self.floor}")

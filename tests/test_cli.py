@@ -251,16 +251,20 @@ def test_export_goldens_cycle(tmp_path, capsys):
     assert "golden match" in capsys.readouterr().out
 
 
-def test_repo_goldens_regression():
+def test_repo_goldens_regression(capsys):
     gd = ROOT / "goldens"
     if not gd.exists():
         pytest.skip("no goldens directory")
     for path in sorted(gd.glob("*.json")):
         name = path.stem
         if name == "manifest":
-            continue
-        assert main(["export", name, "--format", "json", "--goldens", str(gd),
-                     "--qmax", "3", "--smax", "3"]) == 0, name
+            # the case ids and every form's weight, index, character, kind and route
+            capsys.readouterr()
+            assert main(["manifest"]) == 0
+            assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
+        else:
+            assert main(["export", name, "--format", "json", "--goldens", str(gd),
+                         "--qmax", "3", "--smax", "3"]) == 0, name
 
 
 def test_unknown_ids_exit_usage(capsys):
@@ -275,6 +279,27 @@ def test_msym_refuses_p_below_one(capsys, p):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p >= 1" in captured.err
+
+
+@pytest.mark.parametrize("op, form", [
+    ("t0:0", "phi_0_1"), ("t0", "phi_0_1"), ("t0:4", "phi_0_1"), ("t0:-2", "phi_0_1"),
+    ("lambdastar:0", "phi_0_4"), ("lambdastar:-1", "phi_0_4"),
+    ("tminuschar:-1", "eta5_theta2z")])
+def test_hecke_refuses_a_parameter_outside_its_operator_domain(capsys, op, form):
+    # t0 is stated for a prime p; every operator wants a parameter >= 1
+    argv = ["hecke", "apply", "--op", op, "--form", form, "--qmax", "1"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wants a" in captured.err
+
+
+@pytest.mark.parametrize("form", ["E4", "delta_tau", "phi_0_1", "phi_m2_1"])
+def test_lift_arith_refuses_index_zero_and_weight_below_one(capsys, form):
+    assert main(["lift", "arith", form, "--qmax", "1", "--smax", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integral weight >= 1 and a positive index" in captured.err
 
 
 def test_output_flags_a_command_ignores_are_refused(capsys):

@@ -1,6 +1,8 @@
 """Differential and property tests of the slice-wise long division in
 ``Series.div``, against the per-key long division it replaced."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -328,6 +330,8 @@ def test_check_catches_broken_invariants():
         Series(2, (1, 1), {(0, 0): 1}, (4, 3), (0, 0)),
         Series(2, (1, 1), {(0,): 1}, (4, None), (0, 0)),
         Series(2, (1, 1), {(0, -1): 1}, (4, None), (0, 0)),
+        Series(2, (1, 1), {(0, 0): 10.0}, (4, None), (0, 0)),
+        Series(2, (1, 1), {(0, 0): Fraction(1, 2)}, (4, None), (0, 0)),
     ]
     for ser in broken:
         with pytest.raises(AssertionError):

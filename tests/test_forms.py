@@ -353,7 +353,7 @@ def test_catalog_builds_agree_with_the_depth_480_build(monkeypatch):
 def test_catalog_refuses_a_short_build(monkeypatch):
     from paramodular import forms
     monkeypatch.setattr(forms, "_CACHE", {})
-    monkeypatch.setitem(forms._BUILDERS, "theta",
-                        lambda qmax: theta_series(qmax).restricted(qmax - 24))
+    monkeypatch.setitem(forms._CATALOG, "theta",
+                        (lambda qmax: theta_series(qmax).restricted(qmax - 24), ""))
     with pytest.raises(RuntimeError, match="short of the requested 96"):
         catalog("theta", 96)

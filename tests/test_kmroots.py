@@ -1,18 +1,62 @@
+"""Root data of the 33 rank-3 cases and the Lie-type expansion checks.
+
+``kmroots_cases.json`` pins, for every case, its simple roots, odd subset,
+Weyl vector, parabolicity, Gram and Cartan matrices, and the line that
+``roots lie-check`` prints for each bound case at the default box.  To
+re-record it, at a commit whose root data are taken as right:
+
+    PYTHONPATH=src python tests/test_kmroots.py
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from paramodular.cli import main
 from paramodular.forms import catalog
 from paramodular.kmroots import (CASE_FORMS, HypLattice, build_datum, case_ids,
                                  enumerate_weyl, lie_expansion_check, mat_vec,
                                  reflect, reflection_matrix)
 from paramodular.lift import closed_form
 
+PIN = Path(__file__).resolve().parent / "kmroots_cases.json"
+
+
+def record(datum) -> dict:
+    return {"roots": [list(r) for r in datum.roots], "odd": sorted(datum.odd),
+            "rho": [str(x) for x in datum.rho], "parabolic": datum.parabolic,
+            "gram": [list(row) for row in datum.gram()],
+            "cartan": [list(row) for row in datum.cartan()]}
+
+
+def lie_check_line(cid) -> str:
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["roots", "lie-check", cid]) == 0
+    return out.getvalue()
+
 
 def test_all_cases_build_and_match_printed_tables():
     for cid in case_ids():
         datum = build_datum(cid)
         assert datum.check()
+
+
+def test_cases_match_the_recorded_pin():
+    want = json.loads(PIN.read_text())["cases"]
+    assert case_ids() == sorted(want)
+    bad = [cid for cid in want if record(build_datum(cid)) != want[cid]]
+    assert not bad, bad
+
+
+def test_lie_check_lines_match_the_recorded_pin():
+    want = json.loads(PIN.read_text())["lie_check"]
+    assert sorted(CASE_FORMS) == sorted(want)
+    for cid, line in want.items():
+        assert lie_check_line(cid) == line, cid
 
 
 def test_t_1bar_predicate_catches_a_missing_root(monkeypatch):
@@ -121,3 +165,13 @@ def test_d2_odd_root_gives_plus_one():
 def test_unknown_case():
     with pytest.raises(KeyError):
         build_datum("t9_IV_odd")
+
+
+if __name__ == "__main__":
+    def rows(table):  # one entry a line
+        return ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, default=int)}"
+                          for k, v in table.items())
+    cases = {cid: record(build_datum(cid)) for cid in case_ids()}
+    lines = {cid: lie_check_line(cid) for cid in sorted(CASE_FORMS)}
+    PIN.write_text(f'{{\n "cases": {{\n{rows(cases)}\n }},\n'
+                   f' "lie_check": {{\n{rows(lines)}\n }}\n}}\n')
