@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 
 from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
@@ -33,6 +34,30 @@ def _image_series(coeffs: dict, tout: int, fq: int) -> Series:
                   (fq, min((k[1] for k in coeffs), default=0)))
 
 
+def _t_minus_reach(t: int, m: int, depth: int) -> int:
+    return depth // m
+
+
+def _t_minus(phi: JacobiExpansion, m: int, step: int, weight) -> Series:
+    """The divisor sum behind both index-raising operators: for each a | m
+    and d = m / a, the source term c q^(n/24) r^(l/2) lands at
+    q^(n a/(24 d)) r^(l a/2) with weight(a) c, kept when d divides n / step,
+    its q-numerator over the lattice step (so that a divides the target's
+    paper exponents)."""
+    tout = _t_minus_reach(phi.index.numerator, m, phi.qmax)
+    terms = [(a, m // a, weight(a)) for a in divisors(m)]
+    coeffs = {}
+    for (n, l), c in phi.series.terms():
+        if n % step:
+            raise ValueError("expansion is not supported on the stated character lattice")
+        for a, d, w in terms:
+            if (n // step) % d == 0 and n * a // d <= tout:
+                key = (n * a // d, l * a)
+                coeffs[key] = coeffs.get(key, 0) + w * c
+    fq = min(Fraction(phi.series.floor[0] * a, d).__floor__() for a, d, _ in terms)
+    return _image_series(coeffs, tout, fq)
+
+
 def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     """Index-raising operator at weight 0, trivial character:
     f_m(N, L) = m * sum_{a | (N, L, m)} a^{-1} f(N m / a^2, L / a)."""
@@ -42,19 +67,7 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
         raise ValueError("integer index required")
     if m < 1:
         raise ValueError("m must be positive")
-    coeffs = {}
-    tout = phi.qmax // m  # numerator units
-    for (n, l), c in phi.paper_terms():
-        for a in divisors(m):
-            if (n * a * a) % m:
-                continue
-            key = (24 * (n * a * a // m), 2 * l * a)
-            if key[0] > tout:
-                continue
-            coeffs[key] = coeffs.get(key, 0) + (m // a) * c
-    fq = min(Fraction(phi.series.floor[0] * a * a, m).__floor__()
-             for a in divisors(m))
-    return JacobiExpansion(_image_series(coeffs, tout, fq), 0, phi.index * m,
+    return JacobiExpansion(_t_minus(phi, m, 24, lambda a: m // a), 0, phi.index * m,
                            phi.char, phi.kind)
 
 
@@ -72,26 +85,11 @@ def t_minus_char(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     if phi.weight.denominator != 1:
         raise ValueError("integral weight required")
     k = phi.weight.numerator
-    coeffs = {}
-    tout = phi.qmax // m  # numerator units
-    for (n24, l2), c in phi.series.terms():
-        if n24 % D:
-            raise ValueError("expansion is not supported on the stated character lattice")
-        bigN = n24 // D
-        for a in divisors(m):
-            d = m // a
-            if bigN % d:
-                continue
-            key = (n24 * a // d, l2 * a)
-            if key[0] > tout:
-                continue
-            coeffs[key] = coeffs.get(key, 0) + a ** (k - 1) * v_eta_sigma(a, D) * c
-    Dout = phi.char.D
+    ser = _t_minus(phi, m, D, lambda a: a ** (k - 1) * v_eta_sigma(a, D))
+    Dout = D
     if Q > 2 and m % Q == Q - 1:
         Dout = -Dout  # conjugated character for m = -1 mod Q
-    fq = min(Fraction(phi.series.floor[0] * a, m // a).__floor__()
-             for a in divisors(m))
-    return JacobiExpansion(_image_series(coeffs, tout, fq), phi.weight, phi.index * m,
+    return JacobiExpansion(ser, phi.weight, phi.index * m,
                            CharacterTag(Dout, phi.char.eps), phi.kind)
 
 
@@ -113,14 +111,19 @@ def _weak_l_bound(t: int, n: int) -> int:
     return isqrt(v) + 1 if v >= 0 else 0
 
 
-def _t0_sound(t: int, p: int, n: int) -> bool:
-    """Whether an index-t input complete to q^n keeps the shift branch of
-    ``t0`` sound: no unseen term (past n) lands inside the output box
-    n // p^2.  Their landing exponent grows like p^2 n, so the first unseen
-    row decides."""
-    n1 = n + 1
-    return (p * p * n1 - (p - 1) * p * _weak_l_bound(t, n1) > n // (p * p) and
-            4 * t * n1 > (2 * t * (p - 1)) ** 2 // (p * p))
+def _t0_reach(t: int, p: int, depth: int) -> int:
+    """The q-numerator to which ``t0`` at p certifies the image of an
+    index-t input complete to ``depth``: the rows n // p^2 of an input
+    complete to q^n, or -1 when an unseen term (past n) of the shift branch
+    lands inside them.  Their landing exponent grows like p^2 n, so the
+    first unseen row decides."""
+    if t < 1:
+        raise ValueError("the index-preserving operator needs a positive index")
+    n = depth // 24
+    n1, rows = n + 1, n // (p * p)
+    sound = (p * p * n1 - (p - 1) * p * _weak_l_bound(t, n1) > rows and
+             4 * t * n1 > (2 * t * (p - 1)) ** 2 // (p * p))
+    return 24 * rows if sound else -1
 
 
 def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
@@ -132,14 +135,13 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     if phi.index.denominator != 1:
         raise ValueError("integer index required")
     t = phi.index.numerator
-    qmax_paper = phi.qmax // 24
-    tout = qmax_paper // (p * p)
-    if not _t0_sound(t, p, qmax_paper):
+    tout = _t0_reach(t, p, phi.qmax)
+    if tout < 0:
         raise InsufficientBoxError("input truncation too small for a sound shift branch")
     coeffs = {}
 
     def push(n, l, c):
-        if n > tout:
+        if 24 * n > tout:
             return
         key = (24 * n, 2 * l)
         coeffs[key] = coeffs.get(key, 0) + c
@@ -156,7 +158,7 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     f0 = phi.series.floor[0]
     fq = 24 * min(f0 // (24 * p * p) if f0 >= 0 else -((-f0) // 24), f0 // 24,
                   Fraction(-p * p * t, 4).__floor__())
-    ser = _image_series(coeffs, 24 * tout, fq)
+    ser = _image_series(coeffs, tout, fq)
     kind = "nearly-holomorphic" if any(k[0] < 0 for k in ser.coeffs) else phi.kind
     return JacobiExpansion(ser, 0, phi.index, phi.char, kind)
 
@@ -208,6 +210,10 @@ def _norm_lookup(nm: dict, t: int, N: int, qmax_paper: int):
     raise InsufficientBoxError(f"norm {N} not determined by the computed box")
 
 
+def _t_plus_2_reach(t: int, _, depth: int) -> int:
+    return 24 * (depth // 48)
+
+
 def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
     """Index-lowering operator from index 2 to index 1 on norm classes.
 
@@ -219,9 +225,9 @@ def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
         raise ValueError("index-2 weight-0 input required")
     nm = phi.norm_map()
     qmax_paper = phi.qmax // 24
-    tout = qmax_paper // 2
+    tout = _t_plus_2_reach(2, 1, phi.qmax)
     coeffs = {}
-    for n in range(0, tout + 1):
+    for n in range(0, tout // 24 + 1):
         lb = isqrt(4 * n + 1) + 1
         for l in range(-lb, lb + 1):
             N = 4 * n - l * l
@@ -231,14 +237,18 @@ def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
                 val += 2 * (sym + 1) * _norm_lookup(nm, 2, N, qmax_paper)
             if val:
                 coeffs[(24 * n, 2 * l)] = val
-    return JacobiExpansion(_image_series(coeffs, 24 * tout, 0), 0, Fraction(1),
+    return JacobiExpansion(_image_series(coeffs, tout, 0), 0, Fraction(1),
                            phi.char, phi.kind)
 
 
-def _shift_down(t: int, p: int, n: int) -> int:
-    """How many q-rows below its index-t input's depth n the image of
-    ``lambda_star`` at p stops being complete."""
-    return (p - 1) * _weak_l_bound(t, n + 1) // p + 1
+def _lambda_star_reach(t: int, p: int, depth: int) -> int:
+    """The q-numerator to which ``lambda_star`` at p certifies the image of
+    an index-t input complete to ``depth``, or -1 when there is none: the
+    image of an input complete to q^n stops being complete (p - 1)/p of the
+    first unseen row's l-bound below n."""
+    n = depth // 24
+    rows = n - (p - 1) * _weak_l_bound(t, n + 1) // p - 1
+    return 24 * rows if rows >= 0 else -1
 
 
 def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
@@ -250,11 +260,9 @@ def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
         raise ValueError("index does not admit division by p^2")
     if phi.weight != 0:
         raise ValueError("weight-0 normalization")
-    qmax_paper = phi.qmax // 24
-    tnum = t.numerator  # t integral in all supported uses
     if t.denominator != 1:
         raise ValueError("integral index required")
-    tout = qmax_paper - _shift_down(tnum, p, qmax_paper)
+    tout = _lambda_star_reach(t.numerator, p, phi.qmax)
     if tout < 0:
         raise InsufficientBoxError("input truncation too small")
     coeffs = {}
@@ -269,12 +277,16 @@ def lambda_star(phi: JacobiExpansion, p: int) -> JacobiExpansion:
             key2 = lq * 2
             if key24.denominator != 1 or key2.denominator != 1:
                 continue
-            if key24.numerator > 24 * tout:
+            if key24.numerator > tout:
                 continue
             key = (key24.numerator, key2.numerator)
             coeffs[key] = coeffs.get(key, 0) + p ** 3 * c
-    ser = _image_series(coeffs, 24 * tout, min(phi.series.floor[0], 0))
+    ser = _image_series(coeffs, tout, min(phi.series.floor[0], 0))
     return JacobiExpansion(ser, 0, tstar, phi.char, phi.kind)
+
+
+def _t_plus_1_4_reach(t: int, _, depth: int) -> int:
+    return _lambda_star_reach(t, 2, _t0_reach(t, 2, depth))
 
 
 def t_plus_1_4(phi: JacobiExpansion) -> JacobiExpansion:
@@ -285,35 +297,19 @@ def t_plus_1_4(phi: JacobiExpansion) -> JacobiExpansion:
     return lambda_star(t0(phi, 2), 2).scale_div(2)
 
 
-def _t0_depth(t: int, p: int, qmax: int) -> int:
-    if t < 1:
-        raise ValueError("the index-preserving operator needs a positive index")
-    n = p * p * -(-qmax // 24)
-    while not _t0_sound(t, p, n):
-        n += 1
-    return 24 * n
-
-
-def _lambda_star_depth(t: int, p: int, qmax: int) -> int:
-    n = rows = -(-qmax // 24)
-    while n - _shift_down(t, p, n) < rows:
-        n += 1
-    return 24 * n
-
-
-# kind -> (operator(phi, param), depth(t, param, qmax)): the operator, which
+# kind -> (operator(phi, param), reach(t, param, depth)): the operator, which
 # looks its function up when called so that a rebinding of the module
-# attribute takes effect, and the least input q-numerator depth whose image
-# it certifies to qmax, for an input of index numerator t
+# attribute takes effect, and the forward rule its operator truncates by:
+# the q-numerator to which the image of an index-t input complete to depth
+# is certified, -1 when there is none, and never more than depth
 _KINDS = {
-    "lambda": (lambda phi, n: lambda_op(phi, n), lambda t, n, qmax: qmax),
-    "tminus": (lambda phi, m: t_minus_weight0(phi, m), lambda t, m, qmax: m * qmax),
-    "tminuschar": (lambda phi, m: t_minus_char(phi, m), lambda t, m, qmax: m * qmax),
-    "t0": (lambda phi, p: t0(phi, p), _t0_depth),
-    "tplus2": (lambda phi, _: t_plus_2(phi), lambda t, _, qmax: 48 * -(-qmax // 24)),
-    "tplus14": (lambda phi, _: t_plus_1_4(phi),
-                lambda t, _, qmax: _t0_depth(t, 2, _lambda_star_depth(t, 2, qmax))),
-    "lambdastar": (lambda phi, n: lambda_star(phi, n), _lambda_star_depth),
+    "lambda": (lambda phi, n: lambda_op(phi, n), lambda t, n, depth: depth),
+    "tminus": (lambda phi, m: t_minus_weight0(phi, m), _t_minus_reach),
+    "tminuschar": (lambda phi, m: t_minus_char(phi, m), _t_minus_reach),
+    "t0": (lambda phi, p: t0(phi, p), _t0_reach),
+    "tplus2": (lambda phi, _: t_plus_2(phi), _t_plus_2_reach),
+    "tplus14": (lambda phi, _: t_plus_1_4(phi), _t_plus_1_4_reach),
+    "lambdastar": (lambda phi, n: lambda_star(phi, n), _lambda_star_reach),
 }
 
 
@@ -331,16 +327,20 @@ class HeckeDescriptor:
         # the three-term formula and gauss_sum's closed form hold for prime p
         if self.kind == "t0" and (p == 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
             raise ValueError(f"t0 wants a prime p, got {p}")
+        if self.kind in ("tplus2", "tplus14") and p != 1:
+            raise ValueError(f"{self.kind} wants a bare name: it takes no parameter, got {p}")
 
     def apply(self, phi: JacobiExpansion) -> JacobiExpansion:
         return _KINDS[self.kind][0](phi, self.param)
 
     def image(self, name: str, qmax: int) -> JacobiExpansion:
         """The image of the catalog form ``name`` on q-numerators <= qmax,
-        from the least input depth the operator certifies that box from.
-        A depth-24 build supplies the index that the depth rule reads, and
-        :meth:`Series.certified` refuses an image short of qmax."""
-        depth = _KINDS[self.kind][1](catalog(name, 24).index.numerator, self.param, qmax)
+        from the least input depth whose reach is qmax, found by scanning up
+        from qmax, as no reach exceeds its depth.  A depth-24 build supplies
+        the index that the reach reads, and :meth:`Series.certified`
+        refuses an image short of qmax."""
+        reach, t = _KINDS[self.kind][1], catalog(name, 24).index.numerator
+        depth = next(d for d in count(qmax) if reach(t, self.param, d) >= qmax)
         out = self.apply(catalog(name, depth))
         return JacobiExpansion(out.series.certified((qmax,)), out.weight, out.index,
                                out.char, out.kind)

@@ -24,16 +24,14 @@ QRS_DENOMS = (24, 2, 24)
 class SiegelExpansion:
     """Truncated Fourier expansion of a paramodular form in q, r, s."""
 
-    __slots__ = ("series", "level", "weight", "char", "mu", "provenance")
+    __slots__ = ("series", "level", "weight", "char", "mu")
 
-    def __init__(self, series: Series, level, weight, char: CharacterTag,
-                 provenance: str, mu: int = 1):
+    def __init__(self, series: Series, level, weight, char: CharacterTag, mu: int = 1):
         self.series = series
         self.level = Fraction(level)
         self.weight = Fraction(weight)
         self.char = char
         self.mu = mu
-        self.provenance = provenance
 
     @property
     def qmax(self):
@@ -48,12 +46,11 @@ class SiegelExpansion:
 
     def restricted(self, qmax: int, smax: int) -> "SiegelExpansion":
         return SiegelExpansion(self.series.restricted((qmax, smax)), self.level,
-                               self.weight, self.char, self.provenance, self.mu)
+                               self.weight, self.char, self.mu)
 
     def __repr__(self):
         return (f"SiegelExpansion(level={self.level}, weight={self.weight}, "
-                f"provenance={self.provenance}, {len(self.series)} terms, "
-                f"box=({self.qmax}, {self.smax}))")
+                f"{len(self.series)} terms, box=({self.qmax}, {self.smax}))")
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +118,7 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
 
     floor = (D * mu, min((kk[1] for kk in coeffs), default=0), int(24 * mu * t))
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax), floor)
-    return SiegelExpansion(ser, Q * t, k, CharacterTag(D, eps), "arith-lift", mu=mu)
+    return SiegelExpansion(ser, Q * t, k, CharacterTag(D, eps), mu=mu)
 
 
 def lift_arith(name: str, mu: int = 1, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
@@ -201,7 +198,7 @@ def _cf_delta5(qmax, smax):
                     coeffs[(12 * n, l, 12 * m)] = acc
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
                  (12, min((k[1] for k in coeffs), default=0), 12))
-    return SiegelExpansion(ser, 1, 5, CharacterTag(12, 1), "closed-form")
+    return SiegelExpansion(ser, 1, 5, CharacterTag(12, 1))
 
 
 def _cf_divisor_sum(D, t, k, form, dN, dl, da, qmax, smax):
@@ -228,7 +225,7 @@ def _cf_divisor_sum(D, t, k, form, dN, dl, da, qmax, smax):
                     coeffs[(D * n, l, t * D * m)] = val
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
                  (D, min((kk[1] for kk in coeffs), default=0), t * D))
-    return SiegelExpansion(ser, t, k, CharacterTag(D, 1), "closed-form")
+    return SiegelExpansion(ser, t, k, CharacterTag(D, 1))
 
 
 def _cf_theta_product(qu, su, chi, level, qmax, smax):
@@ -247,7 +244,7 @@ def _cf_theta_product(qu, su, chi, level, qmax, smax):
         m += 1
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax),
                  (qu, min((k[1] for k in coeffs), default=0), su))
-    return SiegelExpansion(ser, level, Fraction(1, 2), CharacterTag(qu, 1), "closed-form")
+    return SiegelExpansion(ser, level, Fraction(1, 2), CharacterTag(qu, 1))
 
 
 # (D, t, k, (a, b, c), dN, dl, da) of _cf_divisor_sum.  For delta1 the
@@ -399,7 +396,7 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
                             cap=(Wq_work, Ws_work))
     result = acc.shift(plan.prefix, plan.sign).certified((qmax, smax))
     weight = Fraction(f0.get(0, 0), 2)
-    return SiegelExpansion(result, t, weight, plan.char, "exp-lift")
+    return SiegelExpansion(result, t, weight, plan.char)
 
 
 def _factor_series(dq: int, dl: int, ds: int, e: int, Wq: int, Ws: int) -> Series:

@@ -171,24 +171,9 @@ class Series:
                 raise AssertionError(f"key {k} outside the trunc {self.trunc}")
         return self
 
-    def rescaled(self, denoms) -> "Series":
-        """Same object over coarser exponent denominators (must be multiples)."""
-        denoms = tuple(denoms)
-        if denoms == self.denoms:
-            return self
-        mult = []
-        for d_old, d_new in zip(self.denoms, denoms):
-            if d_new % d_old:
-                raise ValueError("new denominators must be multiples of old ones")
-            mult.append(d_new // d_old)
-        sc = lambda t: tuple(a * m if a is not None else None for a, m in zip(t, mult))
-        coeffs = {tuple(a * m for a, m in zip(k, mult)): c for k, c in self.coeffs.items()}
-        return Series(self.nvars, denoms, coeffs, sc(self.trunc),
-                      tuple(a * m for a, m in zip(self.floor, mult)))
-
     def coarsened(self, denoms) -> "Series":
-        """Inverse of :meth:`rescaled`: move to coarser denominators, checking
-        that every stored exponent is representable."""
+        """The same object over coarser denominators (each dividing the old
+        one), checking that every stored exponent is representable."""
         denoms = tuple(denoms)
         if denoms == self.denoms:
             return self
@@ -245,10 +230,12 @@ class Series:
     # linear structure
 
     def _aligned(self, other: "Series"):
-        if self.nvars != other.nvars:
-            raise ValueError("incompatible numbers of variables")
-        denoms = tuple(_lcm(a, b) for a, b in zip(self.denoms, other.denoms))
-        return self.rescaled(denoms), other.rescaled(denoms)
+        """The pair, refused with ValueError unless both have the same
+        variables over the same denominators."""
+        if (self.nvars, self.denoms) != (other.nvars, other.denoms):
+            raise ValueError(f"incompatible series: {self.nvars} variables over "
+                             f"{self.denoms} and {other.nvars} over {other.denoms}")
+        return self, other
 
     def __neg__(self):
         return Series(self.nvars, self.denoms, {k: -c for k, c in self.coeffs.items()},

@@ -22,12 +22,11 @@ def siegel_div(a: SiegelExpansion, b: SiegelExpansion) -> SiegelExpansion:
     if a.level != b.level:
         raise ValueError("can only divide expansions at the same level")
     return SiegelExpansion(a.series.div(b.series), a.level, a.weight - b.weight,
-                           a.char - b.char, "quotient")
+                           a.char - b.char)
 
 
 def siegel_pow(a: SiegelExpansion, e: int) -> SiegelExpansion:
-    return SiegelExpansion(a.series.pow(e), a.level, a.weight * e,
-                           a.char.scaled(e), "quotient")
+    return SiegelExpansion(a.series.pow(e), a.level, a.weight * e, a.char.scaled(e))
 
 
 def _classes(ser: Series, p: int, rel, den: int) -> list:
@@ -91,8 +90,7 @@ def ms_p(F: SiegelExpansion, p: int, qmax: int, smax: int) -> SiegelExpansion:
     fac_ii = twisted_norm(_classes(ser, p, lambda k: (k[2] - s0) * v, 24 * u),
                           cap=(qmax, smax))
     out = fac_i.mul(fac_ii, cap=(qmax, smax)).certified((qmax, smax))
-    return SiegelExpansion(out, t * p, F.weight * (p + 1), F.char.scaled(p + 1),
-                           "symmetrisation")
+    return SiegelExpansion(out, t * p, F.weight * (p + 1), F.char.scaled(p + 1))
 
 
 def ms_p_of(build, p: int, qmax: int, smax: int) -> SiegelExpansion:
@@ -187,7 +185,7 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
 
     out = reduce(lambda x, y: x.mul(y, cap=cap), factors)
     out = out.coarsened(QRS_DENOMS).certified((qmax, smax))
-    return SiegelExpansion(out, 1, F.weight * 15, F.char.scaled(15), "hecke-product")
+    return SiegelExpansion(out, 1, F.weight * 15, F.char.scaled(15))
 
 
 def hecke_product_T2_of(build, qmax: int, smax: int) -> SiegelExpansion:
@@ -202,7 +200,7 @@ def involution_V(F: SiegelExpansion, tQ=None) -> SiegelExpansion:
     tQ = Fraction(tQ)
     mat = ((0, 0, 1 / tQ), (0, Fraction(1), 0), (tQ, 0, 0))
     ser = F.series.substitute_linear(mat)
-    return SiegelExpansion(ser, F.level, F.weight, F.char, F.provenance, F.mu)
+    return SiegelExpansion(ser, F.level, F.weight, F.char, F.mu)
 
 
 def restrict_z(F: SiegelExpansion, alpha) -> Series:
@@ -215,24 +213,14 @@ def restrict_z(F: SiegelExpansion, alpha) -> Series:
     alpha = Fraction(alpha)
     if alpha not in (Fraction(0), Fraction(1, 2)):
         raise ValueError("alpha must be 0 or 1/2")
-    # at z = 1/2 a term r^(b/2) picks up i^b; past the global phase i^b0,
-    # b0 the parity of the r-numerators, the weights i^(b - b0) are signs
-    b0 = min((k[1] for k in F.series.coeffs), default=0) % 2
-    out = {}
-    for (a, b, c), coeff in F.series.terms():
-        if alpha:
-            half, odd = divmod(b - b0, 2)
-            if odd:
-                raise ValueError("r-numerators of both parities have no sign weights")
-            coeff = -coeff if half % 2 else coeff
-        key = (a, 0, c)
-        v = out.get(key, 0) + coeff
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    fq, _fr, fs = F.series.floor
-    return Series(3, QRS_DENOMS, out, F.series.trunc, (fq, 0, fs))
+    ser = F.series
+    if alpha:
+        # at z = 1/2 a term r^(b/2) picks up i^b; past the global phase i^b0,
+        # b0 the parity of the r-numerators, the weights i^(b - b0) are signs
+        b0 = min((k[1] for k in ser.coeffs), default=0) % 2
+        plus, minus = _classes(ser, 2, lambda k: k[1] - b0, 2)
+        ser = plus - minus
+    return ser.substitute_linear(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
 
 
 # reflections negating the singular-weight forms, as matrices on actual

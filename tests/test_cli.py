@@ -284,9 +284,10 @@ def test_msym_refuses_p_below_one(capsys, p):
 @pytest.mark.parametrize("op, form", [
     ("t0:0", "phi_0_1"), ("t0", "phi_0_1"), ("t0:4", "phi_0_1"), ("t0:-2", "phi_0_1"),
     ("lambdastar:0", "phi_0_4"), ("lambdastar:-1", "phi_0_4"),
-    ("tminuschar:-1", "eta5_theta2z")])
+    ("tminuschar:-1", "eta5_theta2z"), ("tplus2:7", "phi_0_2"), ("tplus14:5", "phi_0_4")])
 def test_hecke_refuses_a_parameter_outside_its_operator_domain(capsys, op, form):
-    # t0 is stated for a prime p; every operator wants a parameter >= 1
+    # t0 is stated for a prime p; every operator wants a parameter >= 1, and
+    # tplus2 and tplus14 take none
     argv = ["hecke", "apply", "--op", op, "--form", form, "--qmax", "1"]
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

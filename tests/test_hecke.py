@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, isqrt
+
 import pytest
 
 from paramodular import hecke
@@ -53,6 +56,30 @@ def test_t_minus_multiplicativity_on_coprime_pairs():
         a = t_minus_weight0(t_minus_weight0(p1, m1), m2)
         b = t_minus_weight0(p1, m1 * m2)
         assert a.series.first_mismatch(b.series) is None, (m1, m2)
+    # and at a prime square: T(p) T(p) = T(p^2) + p lambda_p, the relation
+    # V_p V_p = V_(p^2) + p^(k-1) U_p of Eichler-Zagier section 4 at weight 0,
+    # as T(m) = m V_m
+    p1 = catalog("phi_0_1", 24 * 64)
+    for p in (2, 3):
+        a = t_minus_weight0(t_minus_weight0(p1, p), p)
+        b = t_minus_weight0(p1, p * p).series + lambda_op(p1, p).scale(p).series
+        assert a.series.first_mismatch(b) is None, p
+
+
+def test_t_minus_is_the_divisor_sum_of_its_docstring():
+    # f_m(N, L) = m sum_{a | (N, L, m)} a^(-1) f(N m / a^2, L / a)
+    phi = catalog("phi_0_1", 24 * 72)
+    for m in (4, 8, 9):
+        img = t_minus_weight0(phi, m)
+        want = {}
+        for N in range(img.qmax // 24 + 1):
+            lb = isqrt(4 * m * N + m * m) + 1
+            for L in range(-lb, lb + 1):
+                c = sum(m // a * phi.f(Fraction(N * m, a * a), Fraction(L, a))
+                        for a in range(1, m + 1) if gcd(gcd(N, L), m) % a == 0)
+                if c:
+                    want[(24 * N, 2 * L)] = c
+        assert img.series.coeffs == want, m
 
 
 def test_lambda_on_theta():

@@ -114,6 +114,14 @@ def test_substitute_requires_lattice():
         th.substitute_linear(mat)
 
 
+def test_series_over_other_denominators_are_refused():
+    th = theta_series(96).series
+    finer = th.substitute_linear(((1, 0), (0, 1)), denoms=(48, 2))
+    for op in (th.__add__, th.mul, th.div, th.first_mismatch, th.common_box):
+        with pytest.raises(ValueError, match="incompatible series"):
+            op(finer)
+
+
 def test_json_round_trip():
     s = catalog("phi_0_36", 96).series
     d = s.to_json_dict()

@@ -87,11 +87,15 @@ def test_pow_is_repeated_mul(data, nv, e):
 
 @PROPS
 @given(st.data(), nvars)
-def test_rescaled_then_coarsened_is_the_identity(data, nv):
+def test_finer_then_coarsened_is_the_identity(data, nv):
+    # the identity substitution onto finer denominators, then back
     a, _ = data.draw(operand(nv))
     mult = data.draw(st.tuples(*[st.integers(1, 4)] * nv))
     finer = tuple(d * m for d, m in zip(a.denoms, mult))
-    same(a.rescaled(finer).coarsened(a.denoms), a)
+    eye = [[int(i == j) for j in range(nv)] for i in range(nv)]
+    fine = a.substitute_linear(eye, denoms=finer,
+                               new_floor=tuple(f * m for f, m in zip(a.floor, mult)))
+    same(fine.coarsened(a.denoms), a)
 
 
 @PROPS
@@ -100,7 +104,7 @@ def test_involution_V_is_an_involution(data, t):
     # level t: s-exponents and the s-trunc are multiples of t, so that
     # q -> s/t stays on the lattice and the boxes map back exactly
     a, _ = data.draw(operand(3, step=(1, 1, t)))
-    F = SiegelExpansion(a, t, 0, CharacterTag(0, 0), "x")
+    F = SiegelExpansion(a, t, 0, CharacterTag(0, 0))
     back = involution_V(involution_V(F)).series
     back.check()
     assert (back.coeffs, back.trunc) == (a.coeffs, a.trunc)

@@ -33,9 +33,9 @@ def test_siegel_div_remainder_raises():
     d1 = closed_form("delta1", B, B)
     d2 = closed_form("delta2", B, B)
     corrupt = d2.series + d2.series.monomial(3, d2.series.denoms, (30, 3, 36), 1)
-    bad = SiegelExpansion(corrupt, 2, 2, d2.char, "x")
+    bad = SiegelExpansion(corrupt, 2, 2, d2.char)
     with pytest.raises(ExactDivisionError):
-        siegel_div(SiegelExpansion(d1.series, 2, 1, d1.char, "x"), bad)
+        siegel_div(SiegelExpansion(d1.series, 2, 1, d1.char), bad)
 
 
 def test_ms2_delta1_equals_exp_of_tminus_image():
@@ -96,7 +96,7 @@ def test_hecke_product_constant_form():
     from paramodular.qseries import Series
     char = closed_form("delta5", 48, 48).char.scaled(0)
     one = lambda q, s: SiegelExpansion(
-        Series(3, (24, 2, 24), {(0, 0, 0): 1}, (q, None, s), (0, 0, 0)), 1, 0, char, "x")
+        Series(3, (24, 2, 24), {(0, 0, 0): 1}, (q, None, s), (0, 0, 0)), 1, 0, char)
     out = hecke_product_T2_of(one, 48, 48)
     assert dict(out.series.terms()) == {(0, 0, 0): 1}
 

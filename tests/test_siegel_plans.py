@@ -70,7 +70,7 @@ def test_eq331_numerator_plans_reach_boxes_8_and_10():
     corner = d5.series.min_key()
     lead = 8 * corner[0], 8 * corner[2]
     stub = lambda q, s: SiegelExpansion(
-        Series(3, QRS_DENOMS, {}, (q, None, s), d5.series.floor), 1, 5, d5.char, "stub")
+        Series(3, QRS_DENOMS, {}, (q, None, s), d5.series.floor), 1, 5, d5.char)
     # an input at the numerator box itself falls short above box 6
     assert _t2_box((288, 288), floor) == (270, 282)
     for box, plan in ((192, (324, 300)), (240, (420, 396))):

@@ -66,4 +66,4 @@ def test_hecke_product_refuses_phases_that_are_not_signs():
     ser = F.series
     odd = Series(3, DENOMS, {**ser.coeffs, (24, 1, 12): 1}, ser.trunc, ser.floor)
     with pytest.raises(ValueError, match="no integer class"):
-        hecke_product_T2(SiegelExpansion(odd, 1, F.weight, F.char, "x"), 48, 48)
+        hecke_product_T2(SiegelExpansion(odd, 1, F.weight, F.char), 48, 48)
