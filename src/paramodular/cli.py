@@ -182,9 +182,20 @@ def cmd_manifest(args) -> int:
     return EXIT_OK
 
 
+def _box_bound(text: str) -> int:
+    """The value of --qmax or --smax; a negative bound is refused."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a box bound must be >= 0, got {n}")
+    return n
+
+
 def _box_opts(p, q=6, s=6):
-    p.add_argument("--qmax", type=int, default=q, help="q-exponent bound (exponent units)")
-    p.add_argument("--smax", type=int, default=s, help="s-exponent bound (exponent units)")
+    p.add_argument("--qmax", type=_box_bound, default=q, help="q-exponent bound (exponent units)")
+    p.add_argument("--smax", type=_box_bound, default=s, help="s-exponent bound (exponent units)")
 
 
 def _emit_opts(p):

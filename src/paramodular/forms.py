@@ -95,17 +95,9 @@ class JacobiExpansion:
                                self.index - other.index,
                                self.char - other.char, "weak")
 
-    def pow(self, e: int) -> "JacobiExpansion":
-        return JacobiExpansion(self.series.pow(e), self.weight * e,
-                               self.index * e, self.char.scaled(e),
-                               self.kind if e > 0 else "weak")
-
-    def __pow__(self, e):
-        return self.pow(e)
-
     def __add__(self, other: "JacobiExpansion") -> "JacobiExpansion":
-        if (self.weight, self.index) != (other.weight, other.index):
-            raise ValueError("can only add forms of equal weight and index")
+        if (self.weight, self.index, self.char) != (other.weight, other.index, other.char):
+            raise ValueError("can only add forms of equal weight, index and character")
         return JacobiExpansion(self.series + other.series, self.weight,
                                self.index, self.char,
                                _combine_kind(self.kind, other.kind))
@@ -354,50 +346,12 @@ def _b_phi_0_1(qmax):
     return JacobiExpansion(out, 0, 1, CharacterTag(0, 0), "weak")
 
 
-def _b_xi_0_6(qmax):
-    return catalog("xi_0_3half", qmax).rescale_z(2).with_kind("weak")
-
-
-def _b_phi_0_9(qmax):
-    p1 = catalog("phi_0_1", qmax).rescale_z(3)
-    p3 = catalog("phi_0_3", qmax)
-    x6 = catalog("xi_0_6", qmax)
-    out = p1 + (p3 * x6).scale(7) - (p3 * p3 * p3)
-    return out.with_kind("weak")
-
-
-def _b_phi_0_5_alt(qmax):
-    a = (catalog("phi_0_2", qmax) * catalog("phi_0_3", qmax)).scale(2)
-    b = catalog("phi_0_1", qmax) * catalog("phi_0_4", qmax)
-    return (a - b).with_kind("weak")
-
-
-def _b_e4_1(qmax):
-    e4 = eisenstein(4, qmax)
-    e6 = eisenstein(6, qmax)
-    val = e4 * catalog("phi_0_1", qmax) - e6 * catalog("phi_m2_1", qmax)
-    return val.scale_div(12).with_kind("holomorphic")
-
-
-def _b_e6_1(qmax):
-    e4 = eisenstein(4, qmax)
-    e6 = eisenstein(6, qmax)
-    val = e6 * catalog("phi_0_1", qmax) - (e4 * e4) * catalog("phi_m2_1", qmax)
-    return val.scale_div(12).with_kind("holomorphic")
-
-
 def _b_phi_12_1(qmax):
-    e4 = eisenstein(4, qmax)
-    e6 = eisenstein(6, qmax)
-    val = ((e4 * e4) * catalog("E4_1", qmax) - e6 * catalog("E6_1", qmax)).scale_div(144)
+    val = combo((1, ["E4", "E4", "E4_1"]), (-1, ["E6", "E6_1"]), den=144)(qmax)
     # the form is Delta phi_0_1 (rem3.6), so its series starts at q^1
     ser = val.series
     ser = Series(2, QR_DENOMS, ser.coeffs, ser.trunc, (24, ser.floor[1]))
     return JacobiExpansion(ser, val.weight, val.index, val.char, "cusp")
-
-
-def _b_theta8(qmax):
-    return catalog("theta", qmax).pow(8).with_kind("cusp")
 
 
 def hecke_image(op: str, name: str, qmax: int) -> JacobiExpansion:
@@ -407,58 +361,29 @@ def hecke_image(op: str, name: str, qmax: int) -> JacobiExpansion:
     return HeckeDescriptor.parse(op).image(name, qmax)
 
 
-def _b_phi_0_2_11(qmax):
-    return (hecke_image("tminus:2", "phi_0_1", qmax)
-            - catalog("phi_0_2", qmax).scale(2)).with_kind("weak")
-
-
-def _b_phi_0_3_6(qmax):
-    return (hecke_image("t0:2", "phi_0_3", qmax)
-            - catalog("phi_0_3", qmax).scale(3)).with_kind("weak")
-
-
-def _b_phi_0_1_t02m2(qmax):
-    return (hecke_image("t0:2", "phi_0_1", qmax)
-            - catalog("phi_0_1", qmax).scale(2)).with_kind("nearly-holomorphic")
-
-
-def _b_psi_0_2(qmax):
-    lead = ratio(["E6_1", "E6_1"], ["delta_tau"])(qmax)
-    out = lead - catalog("phi_0_2_11", qmax).scale(2) + catalog("phi_0_2", qmax).scale(176)
-    return out.with_kind("nearly-holomorphic")
-
-
-def _b_psi_0_3(qmax):
-    lead = ratio(["E4_1", "E4_1", "E4_1"], ["delta_tau"])(qmax)
-    out = lead - catalog("phi_0_3_6", qmax).scale(3) - catalog("phi_0_3", qmax).scale(171)
-    return out.with_kind("nearly-holomorphic")
-
-
-def _b_psi_0_4(qmax):
-    # the weight-8 Eisenstein factor E4^2 is forced by weight bookkeeping
-    # (the quotient must have weight 0 to combine with the Hecke images)
-    part1 = (hecke_image("t0:2", "phi_0_1", qmax)
-             + catalog("phi_0_1", qmax).scale(26)).rescale_z(2)
-    part2 = ratio(["E4", "E4", "theta8"], ["delta_tau"])(qmax)
-    part3 = (hecke_image("t0:3", "phi_0_4", qmax)
-             + catalog("phi_0_4", qmax).scale(4)).scale(8)
-    out = part1 - part2 - part3
-    return out.with_kind("nearly-holomorphic")
-
-
+# kind -> the primitive item ``(kind, *args)`` on q-numerators <= qmax
 _PRIMITIVES = {"eta": lambda qmax, d: eta_power(d, qmax),
-               "theta": theta_series, "theta32": theta32_series}
+               "theta": theta_series, "theta32": theta32_series,
+               "T": lambda qmax, op, name: hecke_image(op, name, qmax),
+               "z": lambda qmax, n, item: _item(item, qmax).rescale_z(n)}
 
 
-def _product(factors, qmax):
-    """The product of ``factors`` on q-numerators <= qmax: each a catalog
-    name or a primitive ``(kind, argument)`` of :data:`_PRIMITIVES`."""
+def _item(item, qmax):
+    """One item of the builder grammar on q-numerators <= qmax: a catalog
+    name (looked up through ``catalog`` at each call), a primitive
+    ``(kind, *args)`` of :data:`_PRIMITIVES`, or a builder ``qmax -> form``."""
+    if isinstance(item, str):
+        return catalog(item, qmax)
+    if isinstance(item, tuple):
+        return _PRIMITIVES[item[0]](qmax, *item[1:])
+    return item(qmax)
+
+
+def _product(items, qmax):
+    """The product of ``items`` on q-numerators <= qmax, in their order."""
     out = None
-    for item in factors:
-        if isinstance(item, tuple):
-            f = _PRIMITIVES[item[0]](qmax, item[1])
-        else:
-            f = catalog(item, qmax)
+    for item in items:
+        f = _item(item, qmax)
         out = f if out is None else out * f
     return out
 
@@ -475,6 +400,19 @@ def ratio(num, den=(), kind="weak"):
     return build
 
 
+def combo(*terms, den=1, kind="weak"):
+    """The builder of (sum of c prod(items) over the ``(c, items)`` of
+    ``terms``) / den on q-numerators <= qmax, tagged ``kind``; the sum runs
+    in the order of ``terms``, and den must divide every coefficient."""
+    def build(qmax):
+        out = None
+        for c, items in terms:
+            f = _product(items, qmax).scale(c)
+            out = f if out is None else out + f
+        return (out if den == 1 else out.scale_div(den)).with_kind(kind)
+    return build
+
+
 _TH1, _TH2 = ("theta", 1), ("theta", 2)
 
 # name -> (the builder of the form on q-numerators <= qmax, the route that
@@ -483,7 +421,7 @@ _CATALOG = {
     "theta": (ratio([_TH1], kind="cusp"), "odd binary theta sum over half-integer squares"),
     "theta32": (ratio([("theta32", 1)], kind="cusp"), "quintuple-product theta sum"),
     "xi_0_3half": (ratio([_TH2], [_TH1]), "theta(tau,2z)/theta(tau,z)"),
-    "xi_0_6": (_b_xi_0_6, "xi_0_3half at (tau, 2z)"),
+    "xi_0_6": (ratio([("z", 2, "xi_0_3half")]), "xi_0_3half at (tau, 2z)"),
     "xi_0_12": (ratio([("theta", 6), _TH1], [("theta", 3), _TH2]),
                 "theta(6z) theta(z) / (theta(3z) theta(2z))"),
     "phi_0_1": (_b_phi_0_1, "-6 (4n - l^2) phi_m2_1 - 5 E2 phi_m2_1 (heat operator)"),
@@ -491,8 +429,11 @@ _CATALOG = {
     "phi_0_3": (ratio(["xi_0_3half", "xi_0_3half"]), "(theta(2z)/theta(z))^2"),
     "phi_0_4": (ratio([("theta", 3)], [_TH1]), "theta(3z)/theta(z)"),
     "phi_0_5": (ratio(["phi_0_2", "phi_0_3"]), "phi_0_2 * phi_0_3"),
-    "phi_0_5_alt": (_b_phi_0_5_alt, "2 phi_0_2 phi_0_3 - phi_0_1 phi_0_4"),
-    "phi_0_9": (_b_phi_0_9, "phi_0_1(3z) + 7 phi_0_3 xi_0_6 - phi_0_3^3"),
+    "phi_0_5_alt": (combo((2, ["phi_0_2", "phi_0_3"]), (-1, ["phi_0_1", "phi_0_4"])),
+                    "2 phi_0_2 phi_0_3 - phi_0_1 phi_0_4"),
+    "phi_0_9": (combo((1, [("z", 3, "phi_0_1")]), (7, ["phi_0_3", "xi_0_6"]),
+                      (-1, ["phi_0_3"] * 3)),
+                "phi_0_1(3z) + 7 phi_0_3 xi_0_6 - phi_0_3^3"),
     "phi_0_10": (ratio(["phi_0_4", "xi_0_6"]), "phi_0_4 * xi_0_6"),
     "phi_0_18": (ratio(["xi_0_12", "xi_0_6"]), "xi_0_12 * xi_0_6"),
     "phi_0_36": (ratio([("theta", 10), _TH1], [("theta", 5), _TH2]),
@@ -506,16 +447,30 @@ _CATALOG = {
     "E2": (lambda qmax: eisenstein(2, qmax), ""),
     "E4": (lambda qmax: eisenstein(4, qmax), ""),
     "E6": (lambda qmax: eisenstein(6, qmax), ""),
-    "E4_1": (_b_e4_1, "(E4 phi_0_1 - E6 phi_m2_1)/12"),
-    "E6_1": (_b_e6_1, "(E6 phi_0_1 - E4^2 phi_m2_1)/12"),
+    "E4_1": (combo((1, ["E4", "phi_0_1"]), (-1, ["E6", "phi_m2_1"]), den=12,
+                   kind="holomorphic"), "(E4 phi_0_1 - E6 phi_m2_1)/12"),
+    "E6_1": (combo((1, ["E6", "phi_0_1"]), (-1, ["E4", "E4", "phi_m2_1"]), den=12,
+                   kind="holomorphic"), "(E6 phi_0_1 - E4^2 phi_m2_1)/12"),
     "delta_tau": (ratio([("eta", 24)], kind="cusp"), "eta^24"),
-    "theta8": (_b_theta8, "theta^8"),
-    "phi_0_2_11": (_b_phi_0_2_11, "phi_0_1 | Tminus(2) - 2 phi_0_2"),
-    "phi_0_3_6": (_b_phi_0_3_6, "phi_0_3 | (T0(2) - 3)"),
-    "phi_0_1_t02m2": (_b_phi_0_1_t02m2, "phi_0_1 | (T0(2) - 2)"),
-    "psi_0_2": (_b_psi_0_2, "E6_1^2/Delta - 2 phi_0_2_11 + 176 phi_0_2"),
-    "psi_0_3": (_b_psi_0_3, "E4_1^3/Delta - 3 phi_0_3_6 - 171 phi_0_3"),
-    "psi_0_4": (_b_psi_0_4,
+    "theta8": (ratio([_TH1] * 8, kind="cusp"), "theta^8"),
+    "phi_0_2_11": (combo((1, [("T", "tminus:2", "phi_0_1")]), (-2, ["phi_0_2"])),
+                   "phi_0_1 | Tminus(2) - 2 phi_0_2"),
+    "phi_0_3_6": (combo((1, [("T", "t0:2", "phi_0_3")]), (-3, ["phi_0_3"])),
+                  "phi_0_3 | (T0(2) - 3)"),
+    "phi_0_1_t02m2": (combo((1, [("T", "t0:2", "phi_0_1")]), (-2, ["phi_0_1"]),
+                            kind="nearly-holomorphic"), "phi_0_1 | (T0(2) - 2)"),
+    "psi_0_2": (combo((1, [ratio(["E6_1", "E6_1"], ["delta_tau"])]), (-2, ["phi_0_2_11"]),
+                      (176, ["phi_0_2"]), kind="nearly-holomorphic"),
+                "E6_1^2/Delta - 2 phi_0_2_11 + 176 phi_0_2"),
+    "psi_0_3": (combo((1, [ratio(["E4_1", "E4_1", "E4_1"], ["delta_tau"])]),
+                      (-3, ["phi_0_3_6"]), (-171, ["phi_0_3"]), kind="nearly-holomorphic"),
+                "E4_1^3/Delta - 3 phi_0_3_6 - 171 phi_0_3"),
+    # the weight-8 Eisenstein factor E4^2 is forced by weight bookkeeping
+    # (the quotient must have weight 0 to combine with the Hecke images)
+    "psi_0_4": (combo((1, [("z", 2, combo((1, [("T", "t0:2", "phi_0_1")]), (26, ["phi_0_1"])))]),
+                      (-1, [ratio(["E4", "E4", "theta8"], ["delta_tau"])]),
+                      (-8, [combo((1, [("T", "t0:3", "phi_0_4")]), (4, ["phi_0_4"]))]),
+                      kind="nearly-holomorphic"),
                 "(phi_0_1|(T0(2)+26))(2z) - E4 theta^8/Delta - 8 phi_0_4|(T0(3)+4)"),
     # arithmetic-lift inputs
     "eta1_theta": (ratio([("eta", 1), _TH1], kind="cusp"), ""),
@@ -532,13 +487,9 @@ _CATALOG = {
     "theta3_theta2z": (ratio([_TH1, _TH1, _TH1, _TH2], kind="cusp"), ""),
     "theta_theta2z": (ratio([_TH1, _TH2], kind="cusp"), ""),
     # exp-lift inputs for the level 5-7 identities
-    "phi_0_6_a": (lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(3)
-                                - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(2)
-                                ).with_kind("weak"),
+    "phi_0_6_a": (combo((3, ["phi_0_3", "phi_0_3"]), (-2, ["phi_0_2", "phi_0_4"])),
                   "3 phi_0_3^2 - 2 phi_0_2 phi_0_4"),
-    "phi_0_6_b": (lambda qmax: (catalog("phi_0_3", qmax).pow(2).scale(5)
-                                - (catalog("phi_0_2", qmax) * catalog("phi_0_4", qmax)).scale(4)
-                                ).with_kind("weak"),
+    "phi_0_6_b": (combo((5, ["phi_0_3", "phi_0_3"]), (-4, ["phi_0_2", "phi_0_4"])),
                   "5 phi_0_3^2 - 4 phi_0_2 phi_0_4"),
     "phi_0_6_c": (ratio(["phi_0_3", "phi_0_3"]), "phi_0_3^2"),
     "phi_0_7": (ratio(["phi_0_3", "phi_0_4"]), "phi_0_3 * phi_0_4"),

@@ -12,9 +12,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from .forms import (catalog, eta_power, ez_bracket, hecke_image, phi_2_2_sum,
-                    quintuple_product_form, ratio, theta32_series, theta_product_form,
-                    theta_series)
+from .forms import (combo, ez_bracket, hecke_image, phi_2_2_sum, quintuple_product_form,
+                    ratio, theta32_series, theta_product_form, theta_series)
 from .lift import lift_exp_of, siegel_expansion
 from .qseries import ExactDivisionError, InsufficientBoxError, Series, div_operands
 from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2_of, ms_p_of,
@@ -169,10 +168,58 @@ def _build_ms(name, p, phi):
     """M_p of the closed form ``name`` against the exponential lift of
     phi | T-(p); each operator asks for the least input box it needs."""
     def build(q, s):
-        right = lift_exp_of(lambda d: hecke_image(f"tminus:{p}", phi, d), q, s)
+        right = lift_exp_of(ratio([("T", f"tminus:{p}", phi)]), q, s)
         return ms_p_of(partial(_lift, name), p, q, s).series, right.series
     return build
 
+
+def _build_jacobi(left, right):
+    """Both sides, builders of the :mod:`~paramodular.forms` item grammar,
+    at the box (q,) and restricted to it."""
+    return lambda q, s: (left(q).series.restricted((q,)), right(q).series.restricted((q,)))
+
+
+_PHI_0_1_2Z = ("z", 2, "phi_0_1")     # phi_0_1(tau, 2z)
+
+# (id, section, description, left builder, right builder, expected constant):
+# the two-variable rows of ``_build_jacobi``
+_JACOBI_ROWS = (
+    ("lemma1.6", "1", "quintuple theta equals eta theta(2z)/theta(z)",
+     ratio([("theta32", 1)]), ratio([("eta", 1), ("theta", 2)], [("theta", 1)]), None),
+    ("ex1.15", "1", "index-raising image of eta^5 theta(2z) at 2",
+     ratio([("T", "tminuschar:2", "eta5_theta2z")]),
+     ratio([("eta", 1)] + [("theta", 1)] * 4 + [("theta", 2)]), -1),
+    ("eq2.22a", "2", "index-1 generator at 2z from the index 2 and 4 ones",
+     ratio([_PHI_0_1_2Z]), combo((1, ["phi_0_2", "phi_0_2"]), (-8, ["phi_0_4"])), None),
+    ("eq2.22b", "2", "same via the index 1 times index 3 route",
+     ratio([_PHI_0_1_2Z]), combo((1, ["phi_0_1", "phi_0_3"]), (-12, ["phi_0_4"])), None),
+    ("eq2.24", "2", "xi_0_6 as phi_0_2 phi_0_4 - phi_0_3^2",
+     combo((1, ["phi_0_2", "phi_0_4"]), (-1, ["phi_0_3", "phi_0_3"])), ratio(["xi_0_6"]),
+     None),
+    ("rem3.6", "2", "E-series route reproduces 144 Delta phi_0_1",
+     combo((1, ["E4", "E4", "E4_1"]), (-1, ["E6", "E6_1"])),
+     combo((144, ["delta_tau", "phi_0_1"])), None),
+    ("eq4.6", "2", "index-36 quotient from scaled index 4, 6, 12 forms",
+     combo((1, [("z", 3, "phi_0_4")]), (-1, [("z", 2, "xi_0_6"), "xi_0_12"])),
+     ratio(["phi_0_36"]), None),
+    ("eq3.14", "3", "T-(2) image minus 2 phi_0_2 equals phi_0_1^2 - 20 phi_0_2",
+     combo((1, [("T", "tminus:2", "phi_0_1")]), (-2, ["phi_0_2"])),
+     combo((1, ["phi_0_1", "phi_0_1"]), (-20, ["phi_0_2"])), None),
+    ("eq3.15", "3", "T-(2) image of phi_0_2",
+     ratio([("T", "tminus:2", "phi_0_2")]), combo((1, [_PHI_0_1_2Z]), (2, ["phi_0_4"])), None),
+    ("eq3.16", "3", "index-lowering of phi_0_2 is 4 phi_0_1",
+     ratio([("T", "tplus2", "phi_0_2")]), combo((4, ["phi_0_1"])), None),
+    ("eq3.33", "3", "index-preserving image of phi_0_2 is twice eq3.14",
+     ratio([("T", "t0:2", "phi_0_2")]),
+     combo((2, [("T", "tminus:2", "phi_0_1")]), (-4, ["phi_0_2"])), None),
+    ("eq3.22-jacobi", "3", "index-preserving at 3 on phi_0_3",
+     ratio([("T", "t0:3", "phi_0_3")]),
+     combo((2, [("T", "tminus:3", "phi_0_1")]), (-6, ["phi_0_3"])), None),
+    ("eq3.34", "3", "index-preserving at 2 on phi_0_4 gives phi_0_1(2z)",
+     ratio([("T", "t0:2", "phi_0_4")]), ratio([_PHI_0_1_2Z]), None),
+    ("eq3.35", "3", "index lowering from 4 to 1 gives 8 phi_0_1",
+     ratio([("T", "tplus14", "phi_0_4")]), combo((8, ["phi_0_1"])), None),
+)
 
 # (id, section, description, left id, right id, expected constant): the rows
 # whose two sides are lift ids of ``lift.siegel_expansion``, spelled one way
@@ -249,76 +296,18 @@ def _build_registry() -> dict:
     def add(ident, section, desc, build, expected=None, fixed_box=False):
         R[ident] = IdentityRecord(ident, section, desc, build, expected, fixed_box)
 
-    # --- section 1: theta constructions -------------------------------
+    # --- sections 1-3: theta constructions, basis and Hecke relations -----
     add("eq1.9-theta", "1", "theta sum form equals triple product",
         lambda q, s: (theta_series(q).series, theta_product_form(q)))
     add("quintuple", "1", "quintuple theta sum equals product",
         lambda q, s: (theta32_series(q).series, quintuple_product_form(q)))
-    add("lemma1.6", "1", "quintuple theta equals eta theta(2z)/theta(z)",
-        lambda q, s: (theta32_series(q).series,
-                      ratio([("eta", 1), ("theta", 2)], [("theta", 1)])(q).series))
     add("eq1.34-bracket", "1", "theta bracket sum equals differential bracket",
         lambda q, s: (phi_2_2_sum(q).series,
                       ez_bracket(theta_series(q), theta32_series(q), scale=2).series))
-    add("ex1.15", "1", "index-raising image of eta^5 theta(2z) at 2",
-        lambda q, s: (hecke_image("tminuschar:2", "eta5_theta2z", q).series,
-                      (eta_power(1, q) * theta_series(q).pow(4)
-                       * theta_series(q, 2)).series),
-        expected=-1)
-
-    # --- section 2: basis identities -----------------------------------
-    add("eq2.22a", "2", "index-1 generator at 2z from the index 2 and 4 ones",
-        lambda q, s: (catalog("phi_0_1", q).rescale_z(2).series,
-                      (catalog("phi_0_2", q).pow(2)
-                       - catalog("phi_0_4", q).scale(8)).series))
-    add("eq2.22b", "2", "same via the index 1 times index 3 route",
-        lambda q, s: (catalog("phi_0_1", q).rescale_z(2).series,
-                      ((catalog("phi_0_1", q) * catalog("phi_0_3", q))
-                       - catalog("phi_0_4", q).scale(12)).series))
-    add("eq2.24", "2", "xi_0_6 as phi_0_2 phi_0_4 - phi_0_3^2",
-        lambda q, s: ((catalog("phi_0_2", q) * catalog("phi_0_4", q)
-                       - catalog("phi_0_3", q).pow(2)).series,
-                      catalog("xi_0_6", q).series))
-    add("rem3.6", "2", "E-series route reproduces 144 Delta phi_0_1",
-        lambda q, s: (((catalog("E4", q) * catalog("E4", q) * catalog("E4_1", q))
-                       - catalog("E6", q) * catalog("E6_1", q)).series,
-                      (catalog("delta_tau", q) * catalog("phi_0_1", q))
-                      .scale(144).series))
-    add("eq4.6", "2", "index-36 quotient from scaled index 4, 6, 12 forms",
-        lambda q, s: ((catalog("phi_0_4", q).rescale_z(3)
-                       - catalog("xi_0_6", q).rescale_z(2) * catalog("xi_0_12", q))
-                      .series.restricted((q,)),
-                      catalog("phi_0_36", q).series.restricted((q,))))
-
-    # --- section 3: Hecke rows and relations ---------------------------
+    for ident, section, desc, left, right, expected in _JACOBI_ROWS:
+        add(ident, section, desc, _build_jacobi(left, right), expected)
     add("eq3.9", "3", "the seven printed index-raising head rows", _build_eq39,
         fixed_box=True)
-    add("eq3.14", "3", "T-(2) image minus 2 phi_0_2 equals phi_0_1^2 - 20 phi_0_2",
-        lambda q, s: ((hecke_image("tminus:2", "phi_0_1", q)
-                       - catalog("phi_0_2", q).scale(2)).series,
-                      (catalog("phi_0_1", q).pow(2)
-                       - catalog("phi_0_2", q).scale(20)).series))
-    add("eq3.15", "3", "T-(2) image of phi_0_2",
-        lambda q, s: (hecke_image("tminus:2", "phi_0_2", q).series,
-                      (catalog("phi_0_1", q).rescale_z(2)
-                       + catalog("phi_0_4", q).scale(2)).series))
-    add("eq3.16", "3", "index-lowering of phi_0_2 is 4 phi_0_1",
-        lambda q, s: (hecke_image("tplus2", "phi_0_2", q).series,
-                      catalog("phi_0_1", q).scale(4).series))
-    add("eq3.33", "3", "index-preserving image of phi_0_2 is twice eq3.14",
-        lambda q, s: (hecke_image("t0:2", "phi_0_2", q).series,
-                      (hecke_image("tminus:2", "phi_0_1", q)
-                       - catalog("phi_0_2", q).scale(2)).scale(2).series))
-    add("eq3.22-jacobi", "3", "index-preserving at 3 on phi_0_3",
-        lambda q, s: (hecke_image("t0:3", "phi_0_3", q).series,
-                      (hecke_image("tminus:3", "phi_0_1", q).scale(2)
-                       - catalog("phi_0_3", q).scale(6)).series))
-    add("eq3.34", "3", "index-preserving at 2 on phi_0_4 gives phi_0_1(2z)",
-        lambda q, s: (hecke_image("t0:2", "phi_0_4", q).series,
-                      catalog("phi_0_1", q).rescale_z(2).series))
-    add("eq3.35", "3", "index lowering from 4 to 1 gives 8 phi_0_1",
-        lambda q, s: (hecke_image("tplus14", "phi_0_4", q).series,
-                      catalog("phi_0_1", q).scale(8).series))
     add("lemma3.5-new", "3", "phi_0_4 is annihilated by the index division",
         lambda q, s: (hecke_image("lambdastar:2", "phi_0_4", q).series,
                       Series(2, (24, 2), {}, (q, None), (0, 0))))
@@ -350,9 +339,8 @@ def _build_registry() -> dict:
     def b_322(q, s):
         quot = _quotient(lambda Q, S: ms_p_of(partial(_lift, "delta5"), 3, Q, S),
                          lambda Q, S: siegel_pow(_lift("delta1", Q, S), 4), q, s)
-        right = lift_exp_of(
-            lambda d: (hecke_image("tminus:3", "phi_0_1", d)
-                       - catalog("phi_0_3", d).scale(4)), q, s)
+        right = lift_exp_of(combo((1, [("T", "tminus:3", "phi_0_1")]), (-4, ["phi_0_3"])),
+                            q, s)
         return quot, right.series
     add("eq3.22-siegel", "3", "symmetrisation at 3 of the weight-5 form, reduced",
         b_322, expected=1)

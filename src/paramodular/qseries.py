@@ -171,26 +171,6 @@ class Series:
                 raise AssertionError(f"key {k} outside the trunc {self.trunc}")
         return self
 
-    def coarsened(self, denoms) -> "Series":
-        """The same object over coarser denominators (each dividing the old
-        one), checking that every stored exponent is representable."""
-        denoms = tuple(denoms)
-        if denoms == self.denoms:
-            return self
-        div = []
-        for d_old, d_new in zip(self.denoms, denoms):
-            if d_old % d_new:
-                raise ValueError("old denominators must be multiples of new ones")
-            div.append(d_old // d_new)
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            if any(a % m for a, m in zip(k, div)):
-                raise ValueError(f"exponent key {k} not representable over {denoms}")
-            coeffs[tuple(a // m for a, m in zip(k, div))] = c
-        sc = lambda t: tuple(a // m if a is not None else None for a, m in zip(t, div))
-        return Series(self.nvars, denoms, coeffs, sc(self.trunc),
-                      tuple(a // m for a, m in zip(self.floor, div)))
-
     def terms(self):
         return self.coeffs.items()
 

@@ -142,7 +142,7 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
     half = Fraction(1, 2)
     _, fr, fs = ser.floor
     # halving maps leave the (24, 2, 24) exponent lattice; intermediates
-    # live over (48, 4, 48) and the assembled product is coarsened back
+    # live over (48, 4, 48) and the identity map takes the product back
     fine, cap = (48, 4, 48), (2 * qmax, 2 * smax)
 
     # translating (tau, z, w) by (a, b, c)/2 multiplies q^(k0/24) r^(k1/2)
@@ -184,7 +184,8 @@ def hecke_product_T2(F: SiegelExpansion, qmax: int, smax: int) -> SiegelExpansio
                         trunc=(t5q, None, t5s), floor=floor5))
 
     out = reduce(lambda x, y: x.mul(y, cap=cap), factors)
-    out = out.coarsened(QRS_DENOMS).certified((qmax, smax))
+    out = out.substitute_linear(((1, 0, 0), (0, 1, 0), (0, 0, 1)), denoms=QRS_DENOMS)
+    out = out.certified((qmax, smax))
     return SiegelExpansion(out, 1, F.weight * 15, F.char.scaled(15))
 
 

@@ -281,6 +281,20 @@ def test_msym_refuses_p_below_one(capsys, p):
     assert "p >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "lift closed delta5 --qmax -1 --smax 1",
+    "siegel msym --form delta5 --p 2 --qmax -1 --smax 1",
+    "export delta5 --qmax -1 --smax -1",
+    "form expand phi_0_1 --qmax -1",
+    "verify eq3.14 --qmax -1",
+    "verify eq3.14 --qmax 1 --smax -1"])
+def test_a_negative_box_is_refused_at_parse_time(capsys, argv):
+    assert main(argv.split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a box bound must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize("op, form", [
     ("t0:0", "phi_0_1"), ("t0", "phi_0_1"), ("t0:4", "phi_0_1"), ("t0:-2", "phi_0_1"),
     ("lambdastar:0", "phi_0_4"), ("lambdastar:-1", "phi_0_4"),

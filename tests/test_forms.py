@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from paramodular.chars import CharacterTag
-from paramodular.forms import (catalog, eta_power, ez_bracket, manifest,
+from paramodular.forms import (JacobiExpansion, catalog, eta_power, ez_bracket, manifest,
                                phi_2_2_sum, quintuple_product_form, ratio,
                                registry_names, theta_product_form, theta_series,
                                theta32_series)
@@ -163,6 +163,15 @@ def test_metadata_additivity():
     assert prod.weight == a.weight + b.weight
     assert prod.index == a.index + b.index
     assert prod.char == a.char + b.char
+
+
+def test_a_sum_refuses_mixed_characters():
+    # as for weight and index, a sum never keeps one operand's tag silently
+    f = catalog("phi_0_1", 96)
+    twisted = JacobiExpansion(f.series, f.weight, f.index, CharacterTag(12, 0), f.kind)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="character"):
+            combine(f, twisted)
 
 
 def test_norm_dependence_of_weight_zero_forms():

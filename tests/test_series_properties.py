@@ -88,14 +88,16 @@ def test_pow_is_repeated_mul(data, nv, e):
 @PROPS
 @given(st.data(), nvars)
 def test_finer_then_coarsened_is_the_identity(data, nv):
-    # the identity substitution onto finer denominators, then back
+    # the identity substitution onto finer denominators, then back, each
+    # way with the floor passed explicitly
     a, _ = data.draw(operand(nv))
     mult = data.draw(st.tuples(*[st.integers(1, 4)] * nv))
     finer = tuple(d * m for d, m in zip(a.denoms, mult))
     eye = [[int(i == j) for j in range(nv)] for i in range(nv)]
     fine = a.substitute_linear(eye, denoms=finer,
                                new_floor=tuple(f * m for f, m in zip(a.floor, mult)))
-    same(fine.coarsened(a.denoms), a)
+    same(fine.substitute_linear(eye, denoms=a.denoms,
+                                new_floor=tuple(f // m for f, m in zip(fine.floor, mult))), a)
 
 
 @PROPS
