@@ -6,24 +6,31 @@ simple roots bounding the fundamental polyhedron, the odd subset and the
 Weyl vector; the infinite cases materialize their root set as the orbit of
 seed roots under symmetry reflections.  The printed Gram and Cartan tables
 are recomputed from the vectors and compared entrywise.
+
+Reflections run over Z: a root's norm divides twice its pairing ideal
+(``RootDatum.check`` asserts it), so each 2 (e_j, delta)/(delta, delta) is
+an integer and s_delta lies in GL_3(Z).  Only rho has denominators, so the
+Weyl group acts on d rho, d the common denominator of rho, and the box
+tests and exponent keys scale by d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import gcd
+from functools import cached_property, partial
+from math import gcd, lcm
 
 # the orbit-built root sets keep every coordinate within _BOUND, and
 # reduce_to_root gives up after _MAX_STEPS reflections
 _BOUND = 40
 _MAX_STEPS = 4000
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
 class HypLattice:
-    t: Fraction
+    t: int
 
     def pair(self, x, y) -> Fraction:
         return 2 * x[1] * y[1] - 4 * self.t * (x[0] * y[2] + x[2] * y[0])
@@ -45,11 +52,16 @@ def reflect(lattice: HypLattice, delta, x):
 
 
 def reflection_matrix(lattice: HypLattice, delta):
-    cols = []
-    for j in range(3):
-        e = tuple(1 if i == j else 0 for i in range(3))
-        cols.append(reflect(lattice, delta, e))
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    """The integer matrix of s_delta, whose column j is s_delta(e_j); raises
+    ValueError unless every 2 (e_j, delta)/(delta, delta) is an integer."""
+    nn = lattice.norm(delta)
+    if nn == 0:
+        raise ValueError("cannot reflect in an isotropic vector")
+    c = [divmod(2 * lattice.pair(e, delta), nn) for e in _BASIS]
+    if any(r for _, r in c):
+        raise ValueError(f"the reflection in {delta} does not preserve Z^3")
+    return tuple(tuple(int(i == j) - c[j][0] * delta[i] for j in range(3))
+                 for i in range(3))
 
 
 def mat_mul(a, b):
@@ -78,6 +90,17 @@ class RootDatum:
     def gram(self):
         return self.lattice.gram(self.roots)
 
+    @cached_property
+    def reflections(self):
+        """The integer matrices of the simple reflections, in root order."""
+        return tuple(reflection_matrix(self.lattice, r) for r in self.roots)
+
+    @cached_property
+    def scaled_rho(self):
+        """(d, d rho), with d the common denominator of rho."""
+        d = lcm(*(x.denominator for x in self.rho))
+        return d, tuple(int(d * x) for x in self.rho)
+
     def cartan(self):
         g = self.gram()
         out = []
@@ -85,10 +108,11 @@ class RootDatum:
             nn = g[i][i]
             line = []
             for x in row:
-                v = 2 * x / nn
-                if v.denominator != 1:
-                    raise ValueError(f"non-integral Cartan entry {v} in {self.case_id}")
-                line.append(v.numerator)
+                v, r = divmod(2 * x, nn)
+                if r:
+                    raise ValueError(f"non-integral Cartan entry {2 * x}/{nn} "
+                                     f"in {self.case_id}")
+                line.append(v)
             out.append(tuple(line))
         return tuple(out)
 
@@ -103,17 +127,11 @@ class RootDatum:
             nn = self.lattice.norm(al)
             if nn <= 0:
                 raise AssertionError(f"{self.case_id}: root {al} has nonpositive norm")
-            pairings = [self.lattice.pair(al, e) for e in
-                        ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-            gg = 0
-            for p in pairings:
-                if p.denominator != 1:
-                    raise AssertionError(f"{self.case_id}: non-integral pairing")
-                gg = gcd(gg, int(p))
-            if (2 * gg) % int(nn):
+            gg = gcd(*(self.lattice.pair(al, e) for e in _BASIS))
+            if (2 * gg) % nn:
                 raise AssertionError(f"{self.case_id}: norm of {al} does not divide "
                                      f"twice its pairing ideal")
-            if self.lattice.pair(self.rho, al) != -nn / 2:
+            if 2 * self.lattice.pair(self.rho, al) != -nn:
                 raise AssertionError(f"{self.case_id}: Weyl-vector law fails at {al}")
         rr = self.lattice.norm(self.rho)
         if self.parabolic and rr != 0:
@@ -138,22 +156,19 @@ def _materialize(lattice, seeds, gens):
     components stay within _BOUND."""
     mats = [reflection_matrix(lattice, g) for g in gens]
     seen = set()
-    frontier = [tuple(Fraction(x) for x in s) for s in seeds]
-    out = []
+    frontier = [tuple(s) for s in seeds]
     while frontier:
         nxt = []
         for v in frontier:
             if v in seen:
                 continue
             seen.add(v)
-            if all(x.denominator == 1 for x in v):
-                out.append(tuple(int(x) for x in v))
             for m in mats:
                 w = mat_vec(m, v)
                 if w not in seen and all(abs(x) <= _BOUND for x in w):
                     nxt.append(w)
         frontier = nxt
-    return sorted(out)
+    return sorted(seen)
 
 
 def build_datum(case_id: str) -> RootDatum:
@@ -234,11 +249,11 @@ _FIXED = {
 
 
 def _fixed(pattern, t, row):
-    return RootDatum(pattern.format(t), HypLattice(Fraction(t)), *row(t))
+    return RootDatum(pattern.format(t), HypLattice(t), *row(t))
 
 
 def _t_1bar(t):
-    lat = HypLattice(Fraction(t))
+    lat = HypLattice(t)
     roots = _materialize(lat, [(-1, 0, 1)], [(0, -1, 0), (1, 2, 0)])
     # all roots are even here: the odd subset is empty
     datum = RootDatum(f"t{t}_1bar", lat, roots, set(),
@@ -254,10 +269,7 @@ def _t_1bar(t):
         v = (n, l, 1)
         if rem or abs(n) > w or gcd(*v) != 1:
             continue
-        pair_ideal = gcd(gcd(abs(int(lat.pair(v, (1, 0, 0)))),
-                             abs(int(lat.pair(v, (0, 1, 0))))),
-                         abs(int(lat.pair(v, (0, 0, 1)))))
-        if pair_ideal % (4 * t) == 0 and v not in have:
+        if gcd(*(lat.pair(v, e) for e in _BASIS)) % (4 * t) == 0 and v not in have:
             raise AssertionError(f"t{t}_1bar: predicate root {v} missing from orbit")
     return datum
 
@@ -270,24 +282,26 @@ _T_II_EVEN_ROOTS = {
 
 
 def _t_II_even(t):
-    lat = HypLattice(Fraction(t))
+    lat = HypLattice(t)
     rho = (Fraction(1, 2 * t), Fraction(1, 2), Fraction(1, 2 * t))
     if t in _T_II_EVEN_ROOTS:
         roots = list(_T_II_EVEN_ROOTS[t])
     else:
         roots = _materialize(lat, [(0, -1, 0)], [(1, 2, 0), (-1, 0, 1)])
-        have = set(roots)
-        for v in _enumerate_box(_BOUND // 8):
-            if lat.norm(v) == 2 and lat.pair(v, rho) == -1 and v not in have:
-                raise AssertionError(f"t{t}_II_even: predicate root {v} missing")
     datum = RootDatum(f"t{t}_II_even", lat, roots, set(), rho, parabolic=(t == 4))
+    if t not in _T_II_EVEN_ROOTS:
+        have = set(roots)
+        d, drho = datum.scaled_rho
+        for v in _enumerate_box(_BOUND // 8):
+            if lat.norm(v) == 2 and lat.pair(v, drho) == -d and v not in have:
+                raise AssertionError(f"t{t}_II_even: predicate root {v} missing")
     if t in _T_II_EVEN_ROOTS and datum.gram() != datum.cartan():
         raise AssertionError("norm-2 case must have Gram = Cartan")
     return datum
 
 
 def _dhalf():
-    lat = HypLattice(Fraction(36))
+    lat = HypLattice(36)
     seeds = [(0, -1, 0), (1, 2, 0), (7, 32, 1), (5, 27, 1)]
     sym = [(2, 18, 1), (-1, 0, 1)]
     roots = _materialize(lat, seeds, sym)
@@ -339,27 +353,25 @@ def enumerate_weyl(datum: RootDatum, height_bound: int) -> list:
     (numerators at most height_bound), by breadth-first search over words in
     the simple reflections with matrix-level deduplication.  The sign is the
     parity of even-root letters; duplicate words must agree on it."""
-    lat = datum.lattice
-    t = lat.t
-    gens = [reflection_matrix(lat, r) for r in datum.roots]
+    t = datum.lattice.t
+    d, drho = datum.scaled_rho
+    gens = datum.reflections
     gsign = [1 if i in datum.odd else -1 for i in range(len(datum.roots))]
 
     def inside(v, slack=1):
-        q = abs(24 * v[0])
-        r = abs(2 * v[1])
-        s = abs(24 * t * v[2])
-        return q <= height_bound * slack and s <= height_bound * slack \
-            and r <= 4 * height_bound * slack
+        # v = d w(rho), so the bounds on w(rho) scale by d
+        bound = d * height_bound * slack
+        return abs(24 * v[0]) <= bound and abs(24 * t * v[2]) <= bound \
+            and abs(2 * v[1]) <= 4 * bound
 
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3))
+    ident = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
     seen = {ident: (1, ())}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             sgn, word = seen[m]
-            v = mat_vec(m, datum.rho)
-            if not inside(v, slack=2):
+            if not inside(mat_vec(m, drho), slack=2):
                 continue
             for i, g in enumerate(gens):
                 m2 = mat_mul(g, m)
@@ -375,7 +387,7 @@ def enumerate_weyl(datum: RootDatum, height_bound: int) -> list:
             raise RuntimeError("Weyl enumeration exceeded the safety cap")
     out = []
     for m, (sgn, word) in seen.items():
-        if inside(mat_vec(m, datum.rho), slack=1):
+        if inside(mat_vec(m, drho), slack=1):
             out.append(WeylElement(m, word, sgn))
     out.sort(key=lambda w: (len(w.word), w.word))
     return out
@@ -387,13 +399,12 @@ def reduce_to_root(datum: RootDatum, v, targets):
     or a doubled odd one); positive real roots reach a simple root in
     finitely many steps, anything else runs out of steps and returns None."""
     lat = datum.lattice
-    v = tuple(Fraction(x) for x in v)
     for _ in range(_MAX_STEPS):
         if v in targets:
             return v
-        for al in datum.roots:
+        for al, s in zip(datum.roots, datum.reflections):
             if lat.pair(v, al) > 0:
-                v = reflect(lat, al, v)
+                v = mat_vec(s, v)
                 break
         else:
             return None
@@ -413,13 +424,13 @@ def lie_expansion_check(F, phi, datum: RootDatum, height_bound: int) -> dict:
     lat = datum.lattice
     t = lat.t
     report = {"case": datum.case_id, "orbit_checked": 0, "roots_checked": 0}
-    els = enumerate_weyl(datum, height_bound)
-    for w in els:
-        v = mat_vec(w.matrix, datum.rho)
+    d, drho = datum.scaled_rho
+    for w in enumerate_weyl(datum, height_bound):
+        v = mat_vec(w.matrix, drho)
         key = (24 * v[0], 2 * v[1], 24 * t * v[2])
-        if any(x.denominator != 1 for x in key):
+        if any(x % d for x in key):
             raise AssertionError("orbit point leaves the exponent lattice")
-        key = tuple(x.numerator for x in key)
+        key = tuple(x // d for x in key)
         sq, ss = F.series.trunc[0], F.series.trunc[2]
         if key[0] < F.series.floor[0] or (sq is not None and key[0] > sq):
             continue
@@ -435,15 +446,13 @@ def lie_expansion_check(F, phi, datum: RootDatum, height_bound: int) -> dict:
     odd = {tuple(datum.roots[i]) for i in datum.odd}
     even = roots - odd
     doubled = {tuple(2 * x for x in r) for r in odd}
-    targets = {tuple(Fraction(x) for x in r) for r in roots | doubled}
+    targets = roots | doubled
     bound_m = max(height_bound // 24, 1)
 
     def check_point(a, c):
         if lat.norm(a) <= 0:
             return
         red = reduce_to_root(datum, a, targets)
-        if red is not None:
-            red = tuple(int(x) for x in red)
         if red in even:
             ok = c == 1
         elif red in odd:

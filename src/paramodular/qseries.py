@@ -669,7 +669,8 @@ def div_operands(numerator, divisor, box):
     ``numerator`` and ``divisor`` build an operand at a given box (one
     argument per bounded variable) and return a :class:`Series` or an
     object holding one as ``series``.  A probe of the divisor, at 24 per
-    bounded variable and doubled while empty up to ``box``, reads its lead L;
+    bounded variable whatever the box and doubled while empty up to
+    max(24, box), reads its lead L;
     the numerator is built at box + L, and the divisor at box + 2L - F, with
     F the numerator's floor, unless the probe certifies that.  The divisor's
     request is lowered by what the probe was certified beyond its own, and
@@ -677,13 +678,14 @@ def div_operands(numerator, divisor, box):
     """
     series = lambda x: x if isinstance(x, Series) else x.series
     box = tuple(box)
-    probe = tuple(min(24, b) for b in box)
+    cap = tuple(max(24, b) for b in box)
+    probe = tuple(24 for _ in box)
     d = series(den := divisor(*probe))
-    while not d.coeffs and probe != box:
-        probe = tuple(min(2 * p, b) for p, b in zip(probe, box))
+    while not d.coeffs and probe != cap:
+        probe = tuple(min(2 * p, c) for p, c in zip(probe, cap))
         d = series(den := divisor(*probe))
     if not d.coeffs:
-        raise InsufficientBoxError(f"the divisor has no term in the box {box}")
+        raise InsufficientBoxError(f"the divisor has no term in the box {cap}")
     bv = bounded_vars(d.nvars)
     lead = [min(k[v] for k in d.coeffs) for v in bv]
     num = numerator(*(b + l for b, l in zip(box, lead)))

@@ -67,6 +67,17 @@ def test_verify_json_output(capsys):
     assert rows[0]["id"] == "eq2.24" and rows[0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("name, row", [
+    ("phi_0_1", [[0, -2, "1"], [0, 0, "10"], [0, 2, "1"]]),
+    ("phi_0_2", [[0, -2, "1"], [0, 0, "4"], [0, 2, "1"]]),
+])
+def test_form_expand_at_box_zero_prints_the_q0_row(capsys, name, row):
+    # the divisor's lead lies past the box, so its probe must look beyond it
+    assert main(["form", "expand", name, "--qmax", "0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["terms"] == row and data["trunc"] == [0, None]
+
+
 def test_verify_insufficient_box(capsys):
     assert main(["verify", "eq3.16", "--qmax", "0", "--smax", "0"]) == 1
     assert "error" in capsys.readouterr().out.lower()
@@ -81,10 +92,20 @@ def _add_identity(monkeypatch, ident, exc):
                         identities.IdentityRecord(ident, "0", "raises", build))
 
 
-def test_verify_reports_a_box_below_the_divisor_lead():
+def test_verify_reports_a_box_below_the_divisor_lead(monkeypatch):
     from paramodular import identities
-    r = identities.verify("eq3.31-delta35", 6, 6)
-    assert r.status == "error" and "the divisor has no term in the box" in r.detail
+    from paramodular.qseries import div_operands
+
+    def led_by(e):  # x^e, certified to the box it is built at
+        return lambda q: Series(1, (24,), {(e,): 1} if e <= q else {}, (q,), (0,))
+
+    def build(qmax, smax):
+        return div_operands(led_by(0), led_by(48), (qmax,))
+    monkeypatch.setitem(identities.registry(), "deep-divisor",
+                        identities.IdentityRecord("deep-divisor", "0", "1 / x^2", build))
+    # at box 6 the divisor's probe reaches 24, short of its lead at 48
+    r = identities.verify("deep-divisor", 6, 6)
+    assert r.status == "error" and "the divisor has no term in the box (24,)" in r.detail
 
 
 def test_verify_reports_box_shortfalls(monkeypatch, capsys):

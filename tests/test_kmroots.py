@@ -1,13 +1,15 @@
 """Root data of the 33 rank-3 cases and the Lie-type expansion checks.
 
 ``kmroots_cases.json`` pins, for every case, its simple roots, odd subset,
-Weyl vector, parabolicity, Gram and Cartan matrices, and the line that
-``roots lie-check`` prints for each bound case at the default box.  To
+Weyl vector, parabolicity, Gram and Cartan matrices; for each bound case,
+the line that ``roots lie-check`` prints at the default box and at boxes 4
+and 8, and a sha256 of its Weyl enumeration at boxes 4, 6 and 8.  To
 re-record it, at a commit whose root data are taken as right:
 
     PYTHONPATH=src python tests/test_kmroots.py
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -19,11 +21,14 @@ import pytest
 from paramodular.cli import main
 from paramodular.forms import catalog
 from paramodular.kmroots import (CASE_FORMS, HypLattice, build_datum, case_ids,
-                                 enumerate_weyl, lie_expansion_check, mat_vec,
-                                 reflect, reflection_matrix)
+                                 enumerate_weyl, lie_expansion_check, mat_mul,
+                                 mat_vec, reflect, reflection_matrix)
 from paramodular.lift import closed_form
 
 PIN = Path(__file__).resolve().parent / "kmroots_cases.json"
+# the boxes (in units of 24) of the pinned Weyl enumerations and lie-check lines
+WEYL_BOXES = (4, 6, 8)
+LIE_BOXES = (4, 8)
 
 
 def record(datum) -> dict:
@@ -33,10 +38,23 @@ def record(datum) -> dict:
             "cartan": [list(row) for row in datum.cartan()]}
 
 
-def lie_check_line(cid) -> str:
+def lie_check_line(cid, box=None) -> str:
+    argv = ["roots", "lie-check", cid]
+    if box is not None:
+        argv += ["--qmax", str(box), "--smax", str(box)]
     with redirect_stdout(io.StringIO()) as out:
-        assert main(["roots", "lie-check", cid]) == 0
+        assert main(argv) == 0
     return out.getvalue()
+
+
+def weyl_digest(cid, box) -> str:
+    """sha256 over the matrix entries, word and sign of every element that
+    ``enumerate_weyl`` returns at the box, in its order."""
+    h = hashlib.sha256()
+    for w in enumerate_weyl(build_datum(cid), 24 * box):
+        h.update(repr(([str(x) for row in w.matrix for x in row],
+                       w.word, w.sign)).encode())
+    return h.hexdigest()
 
 
 def test_all_cases_build_and_match_printed_tables():
@@ -53,10 +71,22 @@ def test_cases_match_the_recorded_pin():
 
 
 def test_lie_check_lines_match_the_recorded_pin():
-    want = json.loads(PIN.read_text())["lie_check"]
-    assert sorted(CASE_FORMS) == sorted(want)
+    pin = json.loads(PIN.read_text())
+    want, at_box = pin["lie_check"], pin["lie_check_at_box"]
+    assert sorted(CASE_FORMS) == sorted(want) == sorted(at_box)
     for cid, line in want.items():
         assert lie_check_line(cid) == line, cid
+    bad = [(cid, b) for cid, row in at_box.items() for b, line in row.items()
+           if lie_check_line(cid, int(b)) != line]
+    assert not bad, bad
+
+
+def test_weyl_enumerations_match_the_recorded_pin():
+    want = json.loads(PIN.read_text())["weyl_sha256"]
+    assert sorted(CASE_FORMS) == sorted(want)
+    bad = [(cid, b) for cid, row in want.items() for b, digest in row.items()
+           if weyl_digest(cid, int(b)) != digest]
+    assert not bad, bad
 
 
 def test_t_1bar_predicate_catches_a_missing_root(monkeypatch):
@@ -109,13 +139,48 @@ def test_reflection_basics():
 
 
 def test_reflections_preserve_the_form_and_square_to_identity():
-    lat = HypLattice(Fraction(9))
+    lat = HypLattice(9)
     for delta in ((0, -1, 0), (1, 2, 0), (2, 9, 1)):
         m = reflection_matrix(lat, delta)
         for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)):
             w = mat_vec(m, v)
             assert lat.norm(w) == lat.norm(v)
-            assert mat_vec(m, w) == tuple(Fraction(x) for x in v)
+            assert mat_vec(m, w) == v
+
+
+def test_every_simple_reflection_is_integral_and_an_isometry():
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for cid in case_ids():
+        d = build_datum(cid)
+        assert len(d.reflections) == len(d.roots), cid
+        for m in d.reflections:
+            assert all(type(x) is int for row in m for x in row), cid
+            assert mat_mul(m, m) == ident, cid
+            cols = [tuple(row[j] for row in m) for j in range(3)]
+            assert d.lattice.gram(cols) == d.lattice.gram(ident), cid
+
+
+def test_a_non_integral_reflection_is_refused():
+    # norm 18, pairing 6 with (0, 1, 0): 2 * 6 / 18 is not an integer
+    lat = HypLattice(1)
+    assert lat.norm((0, 3, 1)) == 18 and lat.pair((0, 3, 1), (0, 1, 0)) == 6
+    with pytest.raises(ValueError, match="does not preserve Z"):
+        reflection_matrix(lat, (0, 3, 1))
+    with pytest.raises(ValueError, match="isotropic"):
+        reflection_matrix(lat, (1, 0, 0))
+
+
+def test_a_lie_check_builds_each_simple_reflection_once(monkeypatch):
+    from paramodular import kmroots
+    datum = build_datum("D2")
+    F, phi = closed_form("d2", 144, 144), catalog("phi_0_9", 144)
+    built = []
+    real = kmroots.reflection_matrix
+    monkeypatch.setattr(kmroots, "reflection_matrix",
+                        lambda lat, delta: built.append(tuple(delta)) or real(lat, delta))
+    rep = lie_expansion_check(F, phi, datum, 144)
+    assert rep["roots_checked"] > 10
+    assert sorted(built) == sorted(map(tuple, datum.roots))
 
 
 def test_enumerate_weyl_identity_and_signs():
@@ -173,5 +238,11 @@ if __name__ == "__main__":
                           for k, v in table.items())
     cases = {cid: record(build_datum(cid)) for cid in case_ids()}
     lines = {cid: lie_check_line(cid) for cid in sorted(CASE_FORMS)}
+    at_box = {cid: {b: lie_check_line(cid, b) for b in LIE_BOXES}
+              for cid in sorted(CASE_FORMS)}
+    weyl = {cid: {b: weyl_digest(cid, b) for b in WEYL_BOXES}
+            for cid in sorted(CASE_FORMS)}
     PIN.write_text(f'{{\n "cases": {{\n{rows(cases)}\n }},\n'
-                   f' "lie_check": {{\n{rows(lines)}\n }}\n}}\n')
+                   f' "lie_check": {{\n{rows(lines)}\n }},\n'
+                   f' "lie_check_at_box": {{\n{rows(at_box)}\n }},\n'
+                   f' "weyl_sha256": {{\n{rows(weyl)}\n }}\n}}\n')
