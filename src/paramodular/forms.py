@@ -313,8 +313,10 @@ _LOCK = threading.Lock()
 
 def catalog(name: str, qmax: int) -> JacobiExpansion:
     """The named form, complete for q-numerators <= qmax (exponent n/24) and
-    restricted to them, so what a caller gets never depends on what ran
-    before it.  The cache keeps the deepest build."""
+    restricted to them.  The cache keeps the deepest build, and a form
+    restricted from it keeps that build's r-floor, which may lie below a
+    fresh build's: the r-floor is the one part of what a caller gets that
+    can depend on what ran before it.  No truncation bound reads it."""
     if name not in _CATALOG:
         raise KeyError(f"unknown catalog form {name!r}")
     with _LOCK:

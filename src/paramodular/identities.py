@@ -8,7 +8,6 @@ lexicographic order.  ``verify_all`` is the acceptance gate behind the CLI.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -18,20 +17,6 @@ from .lift import lift_exp_of, siegel_expansion
 from .qseries import ExactDivisionError, InsufficientBoxError, Series, div_operands
 from .siegel import (SIGMA_T9, SIGMA_T36, hecke_product_T2_of, ms_p_of,
                      reflected_sides, restrict_z, siegel_div, siegel_pow)
-
-_MEMO: dict = {}
-_LOCK = threading.Lock()
-
-
-def _lift(ident, q, s):
-    """``lift.siegel_expansion(ident, q, s)``, built once per (ident, q, s)."""
-    key = (ident, q, s)
-    with _LOCK:
-        if key in _MEMO:
-            return _MEMO[key]
-    val = siegel_expansion(ident, q, s)
-    with _LOCK:
-        return _MEMO.setdefault(key, val)
 
 
 @dataclass
@@ -118,13 +103,6 @@ def verify_all(qmax: int = 144, smax: int = 144, section: str | None = None):
 # ----------------------------------------------------------------------
 # builders
 
-def _quotient(numerator, divisor, q, s):
-    """numerator / divisor on the box (q, s), each operand built by
-    ``(Q, S) -> SiegelExpansion`` at the box that ``div_operands`` plans."""
-    a, b = div_operands(numerator, divisor, (q, s))
-    return siegel_div(a, b).series.restricted((q, s))
-
-
 _EQ39_ROWS = {
     ("phi_0_1", 2): {2: 1, 1: 2, 0: 30, -1: 2, -2: 1},
     ("phi_0_1", 3): {3: 1, 1: 3, 0: 40, -1: 3, -3: 1},
@@ -149,27 +127,14 @@ def _build_eq39(qmax, smax):
     return mk(got), mk(want)
 
 
-def _build_pair(left, right):
-    return lambda q, s: (_lift(left, q, s).series, _lift(right, q, s).series)
-
-
 def _build_sigma(name, matrix, q, s):
-    return lambda qmax, smax: reflected_sides(_lift(name, q, s), matrix, -1)
+    return lambda qmax, smax: reflected_sides(siegel_expansion(name, q, s), matrix, -1)
 
 
 def _build_restrict(name, alpha):
     def build(qmax, smax):
-        r = restrict_z(_lift(name, qmax, smax), alpha)
+        r = restrict_z(siegel_expansion(name, qmax, smax), alpha)
         return r, Series(3, r.denoms, {}, r.trunc, r.floor)
-    return build
-
-
-def _build_ms(name, p, phi):
-    """M_p of the closed form ``name`` against the exponential lift of
-    phi | T-(p); each operator asks for the least input box it needs."""
-    def build(q, s):
-        right = lift_exp_of(ratio([("T", f"tminus:{p}", phi)]), q, s)
-        return ms_p_of(partial(_lift, name), p, q, s).series, right.series
     return build
 
 
@@ -177,6 +142,53 @@ def _build_jacobi(left, right):
     """Both sides, builders of the :mod:`~paramodular.forms` item grammar,
     at the box (q,) and restricted to it."""
     return lambda q, s: (left(q).series.restricted((q,)), right(q).series.restricted((q,)))
+
+
+# A Siegel side is a lift id of ``lift.siegel_expansion`` or a builder
+# ``(q, s) -> SiegelExpansion``; the combinators below make builders.  They
+# look the engine functions up when called, never at import, so that a
+# tracer rebinding ``ms_p``, ``hecke_product_T2``, ``siegel_div`` or
+# ``siegel_pow`` after import sees every call.
+
+def _side(side):
+    return partial(siegel_expansion, side) if isinstance(side, str) else side
+
+
+def _ms(p, side):
+    """M_p of ``side``, which is asked for the least input box M_p needs."""
+    return lambda q, s: ms_p_of(_side(side), p, q, s)
+
+
+def _t2(side):
+    """The fifteen-coset Hecke product at 2 of ``side``, planned likewise."""
+    return lambda q, s: hecke_product_T2_of(_side(side), q, s)
+
+
+def _pow(side, e):
+    return lambda q, s: siegel_pow(_side(side)(q, s), e)
+
+
+def _quot(num, den):
+    """num / den on the box (q, s), each built at the box ``div_operands`` plans."""
+    return lambda q, s: siegel_div(*div_operands(_side(num), _side(den), (q, s))).restricted(q, s)
+
+
+def _exp(build):
+    """The exponential lift of ``build``, a builder of the forms item grammar."""
+    return lambda q, s: lift_exp_of(build, q, s)
+
+
+def _build_siegel(left, right):
+    """Both sides at the box (q, s)."""
+    left, right = _side(left), _side(right)
+    return lambda q, s: (left(q, s).series, right(q, s).series)
+
+
+def _build_eq313(q, s):
+    d5_4 = siegel_expansion("delta5", q, -(-s // 4)).series.substitute_linear(
+        ((Fraction(1), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
+    dh2 = siegel_expansion("delta_half", q, s).series.pow(2)
+    return _ms(2, "delta2")(q, s).series, d5_4.mul(dh2, cap=(q, s))
 
 
 _PHI_0_1_2Z = ("z", 2, "phi_0_1")     # phi_0_1(tau, 2z)
@@ -221,10 +233,9 @@ _JACOBI_ROWS = (
      ratio([("T", "tplus14", "phi_0_4")]), combo((8, ["phi_0_1"])), None),
 )
 
-# (id, section, description, left id, right id, expected constant): the rows
-# whose two sides are lift ids of ``lift.siegel_expansion``, spelled one way
-# per object (``arith:<form>`` at mu = 1) so that rows share memo entries
-_LIFT_ROWS = (
+# (id, section, description, left side, right side, expected constant): the
+# rows of ``_build_siegel``
+_SIEGEL_ROWS = (
     ("eq2.16-delta5-arith", "2", "weight-5 form: closed sum vs divisor-sum lift",
      "delta5", "arith:eta9_theta", None),
     ("eq2.16-delta5-exp", "2", "weight-5 form: closed sum vs product lift",
@@ -267,103 +278,64 @@ _LIFT_ROWS = (
      "arith:theta3_theta2z", "exp:phi_0_7", None),
     ("eq4.17", "4", "weight-1 level-10 form, divisor sum vs product",
      "arith:theta_theta2z", "exp:phi_0_10", None),
+    # section 3: symmetrisation and Hecke products
+    ("eq3.20-sym", "3", "symmetrisation at 2 of the level-3 form",
+     _ms(2, "delta1"), _exp(ratio([("T", "tminus:2", "phi_0_3")])), 1),
+    ("eq3.23-sym", "3", "symmetrisation at 3 of the level-3 form",
+     _ms(3, "delta1"), _exp(ratio([("T", "tminus:3", "phi_0_3")])), 1),
+    ("eq3.21-sym", "3", "symmetrisation at 2 of the singular level-4 form",
+     _ms(2, "delta_half"), _exp(ratio([("T", "tminus:2", "phi_0_4")])), 1),
+    ("thm3.3-p3-t2", "3", "symmetrisation at 3 of the level-2 form",
+     _ms(3, "delta2"), _exp(ratio([("T", "tminus:3", "phi_0_2")])), 1),
+    ("eq3.10-delta11-sym", "3", "level-2 quotient of the symmetrised weight-5 form",
+     _quot(_ms(2, "delta5"), _pow("delta2", 2)), "arith:eta21_theta2z", 1),
+    ("eq3.22-siegel", "3", "symmetrisation at 3 of the weight-5 form, reduced",
+     _quot(_ms(3, "delta5"), _pow("delta1", 4)),
+     _exp(combo((1, [("T", "tminus:3", "phi_0_1")]), (-4, ["phi_0_3"]))), 1),
+    ("eq3.31-delta35", "3", "fifteen-coset product quotient vs product lift",
+     _quot(_t2("delta5"), _pow("delta5", 8)), "exp:phi_0_1_t02m2", 1),
 )
 
-# (id, description, closed form, p, phi) of ``_build_ms``, in section 3 and
-# up to the constant 1
-_MS_ROWS = (
-    ("eq3.20-sym", "symmetrisation at 2 of the level-3 form", "delta1", 2, "phi_0_3"),
-    ("eq3.23-sym", "symmetrisation at 3 of the level-3 form", "delta1", 3, "phi_0_3"),
-    ("eq3.21-sym", "symmetrisation at 2 of the singular level-4 form",
-     "delta_half", 2, "phi_0_4"),
-    ("thm3.3-p3-t2", "symmetrisation at 3 of the level-2 form", "delta2", 3, "phi_0_2"),
-)
+_REGISTRY = {rec.id: rec for rec in (
+    # --- sections 1-3: theta constructions, basis and Hecke relations -----
+    IdentityRecord("eq1.9-theta", "1", "theta sum form equals triple product",
+                   lambda q, s: (theta_series(q).series, theta_product_form(q))),
+    IdentityRecord("quintuple", "1", "quintuple theta sum equals product",
+                   lambda q, s: (theta32_series(q).series, quintuple_product_form(q))),
+    IdentityRecord("eq1.34-bracket", "1", "theta bracket sum equals differential bracket",
+                   lambda q, s: (phi_2_2_sum(q).series,
+                                 ez_bracket(theta_series(q), theta32_series(q),
+                                            scale=2).series)),
+    *(IdentityRecord(ident, section, desc, _build_jacobi(left, right), expected)
+      for ident, section, desc, left, right, expected in _JACOBI_ROWS),
+    IdentityRecord("eq3.9", "3", "the seven printed index-raising head rows", _build_eq39,
+                   fixed_box=True),
+    IdentityRecord("lemma3.5-new", "3", "phi_0_4 is annihilated by the index division",
+                   lambda q, s: (hecke_image("lambdastar:2", "phi_0_4", q).series,
+                                 Series(2, (24, 2), {}, (q, None), (0, 0)))),
+
+    # --- sections 2-4: sum = product, symmetrisation and Hecke products --
+    *(IdentityRecord(ident, section, desc, _build_siegel(left, right), expected)
+      for ident, section, desc, left, right, expected in _SIEGEL_ROWS),
+    IdentityRecord("eq3.13-sym", "3",
+                   "symmetrised level-2 form against the theta-constant pair",
+                   _build_eq313, 1),
+
+    # --- sections 1 and 4: vanishing and anti-invariance ----------------
+    IdentityRecord("thm1.11-sigma", "4", "reflection negates the level-36 singular form",
+                   _build_sigma("d_half", SIGMA_T36, 24 * 10, 24 * 180), fixed_box=True),
+    IdentityRecord("thm4.1-sigma", "4", "reflection negates the level-9 weight-2 form",
+                   _build_sigma("d2", SIGMA_T9, 24 * 10, 24 * 48), fixed_box=True),
+    IdentityRecord("lemma1.16-delta1", "1", "level-3 form vanishes on the z = 0 slice",
+                   _build_restrict("delta1", 0)),
+    IdentityRecord("lemma1.16-delta2", "1", "level-2 form vanishes on the z = 0 slice",
+                   _build_restrict("delta2", 0)),
+    IdentityRecord("lemma1.16-delta5", "1", "weight-5 form vanishes on the z = 0 slice",
+                   _build_restrict("delta5", 0)),
+    IdentityRecord("thm1.11-restrict", "1", "level-36 singular form vanishes at z = 1/2",
+                   _build_restrict("d_half", Fraction(1, 2))),
+)}
 
 
 def registry() -> dict:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
     return _REGISTRY
-
-
-_REGISTRY = None
-
-
-def _build_registry() -> dict:
-    R = {}
-
-    def add(ident, section, desc, build, expected=None, fixed_box=False):
-        R[ident] = IdentityRecord(ident, section, desc, build, expected, fixed_box)
-
-    # --- sections 1-3: theta constructions, basis and Hecke relations -----
-    add("eq1.9-theta", "1", "theta sum form equals triple product",
-        lambda q, s: (theta_series(q).series, theta_product_form(q)))
-    add("quintuple", "1", "quintuple theta sum equals product",
-        lambda q, s: (theta32_series(q).series, quintuple_product_form(q)))
-    add("eq1.34-bracket", "1", "theta bracket sum equals differential bracket",
-        lambda q, s: (phi_2_2_sum(q).series,
-                      ez_bracket(theta_series(q), theta32_series(q), scale=2).series))
-    for ident, section, desc, left, right, expected in _JACOBI_ROWS:
-        add(ident, section, desc, _build_jacobi(left, right), expected)
-    add("eq3.9", "3", "the seven printed index-raising head rows", _build_eq39,
-        fixed_box=True)
-    add("lemma3.5-new", "3", "phi_0_4 is annihilated by the index division",
-        lambda q, s: (hecke_image("lambdastar:2", "phi_0_4", q).series,
-                      Series(2, (24, 2), {}, (q, None), (0, 0))))
-
-    # --- sections 2-4: sum = product identities ------------------------
-    for ident, section, desc, left, right, expected in _LIFT_ROWS:
-        add(ident, section, desc, _build_pair(left, right), expected)
-
-    # --- section 3: symmetrisation and Hecke products -------------------
-    for ident, desc, name, p, phi in _MS_ROWS:
-        add(ident, "3", desc, _build_ms(name, p, phi), expected=1)
-
-    def b_310(q, s):
-        quot = _quotient(lambda Q, S: ms_p_of(partial(_lift, "delta5"), 2, Q, S),
-                         lambda Q, S: siegel_pow(_lift("delta2", Q, S), 2), q, s)
-        return quot, _lift("arith:eta21_theta2z", q, s).series
-    add("eq3.10-delta11-sym", "3", "level-2 quotient of the symmetrised weight-5 form",
-        b_310, expected=1)
-
-    def b_313(q, s):
-        left = ms_p_of(partial(_lift, "delta2"), 2, q, s).series
-        d5_4 = _lift("delta5", q, -(-s // 4)).series.substitute_linear(
-            ((Fraction(1), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
-        dh2 = _lift("delta_half", q, s).series.pow(2)
-        return left, d5_4.mul(dh2, cap=(q, s))
-    add("eq3.13-sym", "3", "symmetrised level-2 form against the theta-constant pair",
-        b_313, expected=1)
-
-    def b_322(q, s):
-        quot = _quotient(lambda Q, S: ms_p_of(partial(_lift, "delta5"), 3, Q, S),
-                         lambda Q, S: siegel_pow(_lift("delta1", Q, S), 4), q, s)
-        right = lift_exp_of(combo((1, [("T", "tminus:3", "phi_0_1")]), (-4, ["phi_0_3"])),
-                            q, s)
-        return quot, right.series
-    add("eq3.22-siegel", "3", "symmetrisation at 3 of the weight-5 form, reduced",
-        b_322, expected=1)
-
-    def b_331(q, s):
-        quot = _quotient(lambda Q, S: hecke_product_T2_of(partial(_lift, "delta5"), Q, S),
-                         lambda Q, S: siegel_pow(_lift("delta5", Q, S), 8), q, s)
-        return quot, _lift("exp:phi_0_1_t02m2", q, s).series
-    add("eq3.31-delta35", "3", "fifteen-coset product quotient vs product lift",
-        b_331, expected=1)
-
-    # --- sections 1 and 4: vanishing and anti-invariance ----------------
-    add("thm1.11-sigma", "4", "reflection negates the level-36 singular form",
-        _build_sigma("d_half", SIGMA_T36, 24 * 10, 24 * 180), fixed_box=True)
-    add("thm4.1-sigma", "4", "reflection negates the level-9 weight-2 form",
-        _build_sigma("d2", SIGMA_T9, 24 * 10, 24 * 48), fixed_box=True)
-    add("lemma1.16-delta1", "1", "level-3 form vanishes on the z = 0 slice",
-        _build_restrict("delta1", 0))
-    add("lemma1.16-delta2", "1", "level-2 form vanishes on the z = 0 slice",
-        _build_restrict("delta2", 0))
-    add("lemma1.16-delta5", "1", "weight-5 form vanishes on the z = 0 slice",
-        _build_restrict("delta5", 0))
-    add("thm1.11-restrict", "1", "level-36 singular form vanishes at z = 1/2",
-        _build_restrict("d_half", Fraction(1, 2)))
-
-    return R

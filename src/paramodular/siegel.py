@@ -194,12 +194,10 @@ def hecke_product_T2_of(build, qmax: int, smax: int) -> SiegelExpansion:
     return hecke_product_T2(_planned(build, _t2_box, qmax, smax), qmax, smax)
 
 
-def involution_V(F: SiegelExpansion, tQ=None) -> SiegelExpansion:
-    """Exponent swap (alpha, beta, gamma) -> (gamma/(Qt), beta, Qt alpha)."""
-    if tQ is None:
-        tQ = F.level
-    tQ = Fraction(tQ)
-    mat = ((0, 0, 1 / tQ), (0, Fraction(1), 0), (tQ, 0, 0))
+def involution_V(F: SiegelExpansion) -> SiegelExpansion:
+    """Exponent swap (alpha, beta, gamma) -> (gamma/t, beta, t alpha), t the level."""
+    t = F.level
+    mat = ((0, 0, 1 / t), (0, Fraction(1), 0), (t, 0, 0))
     ser = F.series.substitute_linear(mat)
     return SiegelExpansion(ser, F.level, F.weight, F.char, F.mu)
 

@@ -209,7 +209,6 @@ def test_verify_boxes_do_not_depend_on_order(monkeypatch):
     boxes = []
     for order in (ids, ids[::-1]):
         monkeypatch.setattr(forms, "_CACHE", {})
-        monkeypatch.setattr(identities, "_MEMO", {})
         boxes.append({ident: identities.verify(ident, 48, 48).box for ident in order})
     assert boxes[0] == boxes[1]
 

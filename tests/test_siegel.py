@@ -102,15 +102,15 @@ def test_hecke_product_constant_form():
 
 
 def test_involution_V_fixes_arith_lifts():
-    for name, tq in (("delta1", 3), ("delta2", 2), ("delta5", 1)):
+    for name in ("delta1", "delta2", "delta5"):
         F = closed_form(name, B, B)
-        assert involution_V(F, tq).series.first_mismatch(F.series) is None
+        assert involution_V(F).series.first_mismatch(F.series) is None
 
 
 def test_involution_V_negates_antisymmetric_lift():
     from paramodular.lift import lift_exp
     P = lift_exp("psi_0_2", B, B)
-    iv = involution_V(P, 2)
+    iv = involution_V(P)
     assert iv.series.first_mismatch(P.series.scale(-1)) is None
 
 
