@@ -13,7 +13,6 @@ q-numerators <= qmax (numerator units: the exponent of q is n/24).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import lcm
 
@@ -209,20 +208,19 @@ def _product_form(lead, sign, rows, qmax: int) -> Series:
     return acc.mul_factors(factors).restricted((qmax,))
 
 
-def theta32_series(qmax: int, a: int = 1) -> JacobiExpansion:
-    """Quintuple-product theta at (tau, a z): sum (12/n) q^(n^2/24) r^(a n/2)."""
+def theta32_series(qmax: int) -> JacobiExpansion:
+    """Quintuple-product theta: sum (12/n) q^(n^2/24) r^(n/2)."""
     coeffs = {}
     n = 1
     while n * n <= qmax:
         for nn in (n, -n):
             c = kronecker(12, nn)
             if c:
-                coeffs[(n * n, a * nn)] = c
+                coeffs[(n * n, nn)] = c
         n += 1
     rfloor = min((k[1] for k in coeffs), default=0)
     s = Series(2, QR_DENOMS, coeffs, (qmax, None), (1, rfloor))
-    return JacobiExpansion(s, Fraction(1, 2), Fraction(3 * a * a, 2),
-                           CharacterTag(1, a), "cusp")
+    return JacobiExpansion(s, Fraction(1, 2), Fraction(3, 2), CharacterTag(1, 1), "cusp")
 
 
 def quintuple_product_form(qmax: int) -> Series:
@@ -308,7 +306,6 @@ def ez_bracket(a: JacobiExpansion, b: JacobiExpansion,
 # catalog
 
 _CACHE: dict = {}
-_LOCK = threading.Lock()
 
 
 def catalog(name: str, qmax: int) -> JacobiExpansion:
@@ -319,23 +316,18 @@ def catalog(name: str, qmax: int) -> JacobiExpansion:
     can depend on what ran before it.  No truncation bound reads it."""
     if name not in _CATALOG:
         raise KeyError(f"unknown catalog form {name!r}")
-    with _LOCK:
-        form = _CACHE.get(name)
+    form = _CACHE.get(name)
     if form is None or (form.qmax is not None and form.qmax < qmax):
         form = _CATALOG[name][0](qmax)
         if form.qmax is not None and form.qmax < qmax:
             raise RuntimeError(f"catalog builder for {name!r} delivered q-depth "
                                f"{form.qmax}, short of the requested {qmax}")
-        with _LOCK:
-            got = _CACHE.get(name)
-            if got is None or (got.qmax is not None and got.qmax < qmax):
-                _CACHE[name] = form
+        _CACHE[name] = form
     return form if form.qmax == qmax else form.restricted(qmax)
 
 
 def clear_cache():
-    with _LOCK:
-        _CACHE.clear()
+    _CACHE.clear()
 
 
 def _b_phi_0_1(qmax):
@@ -421,7 +413,7 @@ _TH1, _TH2 = ("theta", 1), ("theta", 2)
 # the manifest prints for it, "" where none is written)
 _CATALOG = {
     "theta": (ratio([_TH1], kind="cusp"), "odd binary theta sum over half-integer squares"),
-    "theta32": (ratio([("theta32", 1)], kind="cusp"), "quintuple-product theta sum"),
+    "theta32": (ratio([("theta32",)], kind="cusp"), "quintuple-product theta sum"),
     "xi_0_3half": (ratio([_TH2], [_TH1]), "theta(tau,2z)/theta(tau,z)"),
     "xi_0_6": (ratio([("z", 2, "xi_0_3half")]), "xi_0_3half at (tau, 2z)"),
     "xi_0_12": (ratio([("theta", 6), _TH1], [("theta", 3), _TH2]),
@@ -478,9 +470,9 @@ _CATALOG = {
     "eta1_theta": (ratio([("eta", 1), _TH1], kind="cusp"), ""),
     "eta3_theta": (ratio([("eta", 3), _TH1], kind="cusp"), ""),
     "eta9_theta": (ratio([("eta", 9), _TH1], kind="cusp"), ""),
-    "eta1_theta32": (ratio([("eta", 1), ("theta32", 1)], kind="cusp"), ""),
-    "eta3_theta32": (ratio([("eta", 3), ("theta32", 1)], kind="cusp"), ""),
-    "eta11_theta32": (ratio([("eta", 11), ("theta32", 1)], kind="cusp"), ""),
+    "eta1_theta32": (ratio([("eta", 1), ("theta32",)], kind="cusp"), ""),
+    "eta3_theta32": (ratio([("eta", 3), ("theta32",)], kind="cusp"), ""),
+    "eta11_theta32": (ratio([("eta", 11), ("theta32",)], kind="cusp"), ""),
     "eta21_theta2z": (ratio([("eta", 21), _TH2], kind="cusp"), ""),
     "eta5_theta2z": (ratio([("eta", 5), _TH2], kind="cusp"), ""),
     "eta3_theta6_theta2z": (ratio([("eta", 3)] + [_TH1] * 6 + [_TH2], kind="cusp"), ""),

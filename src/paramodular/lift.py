@@ -33,14 +33,6 @@ class SiegelExpansion:
         self.char = char
         self.mu = mu
 
-    @property
-    def qmax(self):
-        return self.series.trunc[0]
-
-    @property
-    def smax(self):
-        return self.series.trunc[2]
-
     def coeff_at(self, q, r, s) -> int:
         return self.series.coeff_at(q, r, s)
 
@@ -50,7 +42,8 @@ class SiegelExpansion:
 
     def __repr__(self):
         return (f"SiegelExpansion(level={self.level}, weight={self.weight}, "
-                f"{len(self.series)} terms, box=({self.qmax}, {self.smax}))")
+                f"{len(self.series)} terms, box=({self.series.trunc[0]}, "
+                f"{self.series.trunc[2]}))")
 
 
 # ----------------------------------------------------------------------

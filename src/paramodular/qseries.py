@@ -174,9 +174,6 @@ class Series:
     def terms(self):
         return self.coeffs.items()
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __len__(self):
         return len(self.coeffs)
 
@@ -222,8 +219,6 @@ class Series:
                       self.trunc, self.floor)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Series.monomial(self.nvars, self.denoms, (0,) * self.nvars, other)
         a, b = self._aligned(other)
         trunc = tuple(_min_none(x, y) for x, y in zip(a.trunc, b.trunc))
         floor = tuple(min(x, y) for x, y in zip(a.floor, b.floor))
@@ -238,10 +233,8 @@ class Series:
         s._drop_overflow()
         return s
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Series) else -other)
+        return self + -other
 
     def scale(self, c) -> "Series":
         if not c:
@@ -372,16 +365,6 @@ class Series:
                 del slices[k]
         return Series(nv, self.denoms, _unslice(nv, slices), trunc, floor)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.mul(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     # ------------------------------------------------------------------
     # exact division
 
@@ -488,11 +471,6 @@ class Series:
                                      f"failed at exponent key {bad}")
         return q
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            return self.scale_exact_div(other)
-        return self.div(other)
-
     def pow(self, e: int) -> "Series":
         if e == 0:
             return Series.one(self.nvars, self.denoms)
@@ -507,9 +485,6 @@ class Series:
             if n:
                 base = base.mul(base)
         return acc
-
-    def __pow__(self, e: int):
-        return self.pow(e)
 
     # ------------------------------------------------------------------
     # exponent substitution

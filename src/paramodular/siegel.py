@@ -233,10 +233,10 @@ SIGMA_T36 = ((Fraction(81), Fraction(-30), Fraction(100, 9)),
              (Fraction(576), Fraction(-216), Fraction(81)))
 
 
-def reflected_sides(F: SiegelExpansion, matrix, sign: int):
-    """(sign F, F at the images) on the stored keys whose image under
+def reflected_sides(F: SiegelExpansion, matrix):
+    """(-F, F at the images) on the stored keys whose image under
     ``matrix`` lies inside the (q, s) box, as two series that agree exactly
-    when F maps to sign F there.  F has no term at an image off the exponent
+    when F maps to -F there.  F has no term at an image off the exponent
     lattice, so such a key is kept at any box.  Refused with
     InsufficientBoxError when no key is kept."""
     ser = F.series
@@ -246,7 +246,7 @@ def reflected_sides(F: SiegelExpansion, matrix, sign: int):
         img = image(key)
         if img is None or all(ser.trunc[v] is None or img[v] <= ser.trunc[v]
                               for v in (0, 2)):
-            left[key] = sign * c
+            left[key] = -c
             if img is not None and (there := ser.get(img)):
                 right[key] = there
     if not left:
@@ -254,12 +254,12 @@ def reflected_sides(F: SiegelExpansion, matrix, sign: int):
     return tuple(Series(3, ser.denoms, d, ser.trunc, ser.floor) for d in (left, right))
 
 
-def check_sign_under(F: SiegelExpansion, matrix, sign: int) -> bool:
+def check_sign_under(F: SiegelExpansion, matrix) -> bool:
     """Whether ``reflected_sides`` agree: at least one stored term has its
-    image inside the box, and each such image carries sign times its
+    image inside the box, and each such image carries minus its
     coefficient."""
     try:
-        left, right = reflected_sides(F, matrix, sign)
+        left, right = reflected_sides(F, matrix)
     except InsufficientBoxError:
         return False
     return left.first_mismatch(right) is None

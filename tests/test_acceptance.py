@@ -211,10 +211,8 @@ def test_criterion_9_vanishing_and_reflections():
     for name in ("delta1", "delta2", "delta5"):
         ok = ok and not restrict_z(closed_form(name, B, B), 0).coeffs
     ok = ok and not restrict_z(closed_form("d_half", B, B), Fraction(1, 2)).coeffs
-    ok = ok and check_sign_under(closed_form("d_half", 24 * 10, 24 * 180),
-                                 SIGMA_T36, -1)
-    ok = ok and check_sign_under(closed_form("d2", 24 * 10, 24 * 48),
-                                 SIGMA_T9, -1)
+    ok = ok and check_sign_under(closed_form("d_half", 24 * 10, 24 * 180), SIGMA_T36)
+    ok = ok and check_sign_under(closed_form("d2", 24 * 10, 24 * 48), SIGMA_T9)
     assert report(9, ok, "slice vanishing and reflection anti-invariance")
 
 

@@ -271,6 +271,22 @@ def test_export_goldens_cycle(tmp_path, capsys):
     assert "golden match" in capsys.readouterr().out
 
 
+def test_export_against_a_tampered_golden_is_a_mismatch(tmp_path, capsys):
+    gd = tmp_path / "goldens"
+    argv = ["export", "phi_0_3", "--goldens", str(gd), "--qmax", "2", "--smax", "2"]
+    assert main(argv + ["--regen-goldens"]) == EXIT_OK
+    path = gd / "phi_0_3.json"
+    text = path.read_text()
+    tampered = text.replace(',"1"]', ',"2"]', 1)    # one coefficient, the format kept
+    assert tampered != text
+    path.write_text(tampered)
+    capsys.readouterr()
+    assert main(argv) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"golden mismatch for phi_0_3 at {path}" in captured.err
+
+
 def test_repo_goldens_regression(capsys):
     gd = ROOT / "goldens"
     if not gd.exists():
@@ -313,6 +329,13 @@ def test_a_negative_box_is_refused_at_parse_time(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "a box bound must be >= 0" in captured.err
+
+
+def test_a_box_bound_that_is_no_integer_is_refused_at_parse_time(capsys):
+    assert main(["form", "expand", "phi_0_1", "--qmax", "x"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value: 'x'" in captured.err
 
 
 @pytest.mark.parametrize("op, form", [

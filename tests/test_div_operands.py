@@ -87,3 +87,21 @@ def test_the_divisor_request_is_lowered_by_what_the_probe_over_delivered(deep_ex
     assert asked == asked_want
     assert b.trunc == (96,)
     assert a.div(b).trunc[0] >= 96
+
+
+def test_an_empty_probe_is_doubled_up_to_the_box():
+    # x^2 (1 + x) / x^2 at box 96: the divisor's lead 48 lies past the first
+    # probe at 24, so the probe is asked again at 48
+    asked = []
+
+    def divisor(q):
+        asked.append(q)
+        return qseries.Series(1, (24,), {(48,): 1} if q >= 48 else {}, (q,), (0,))
+
+    def numerator(q):
+        return qseries.Series(1, (24,), {(48,): 1, (72,): 1}, (q,), (0,))
+
+    a, b = qseries.div_operands(numerator, divisor, (96,))
+    assert asked == [24, 48, 192]
+    assert a.trunc == (144,) and b.trunc == (192,)
+    assert a.div(b).trunc[0] >= 96

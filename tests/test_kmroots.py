@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,25 @@ def test_t_1bar_predicate_catches_a_missing_root(monkeypatch):
                         lambda *args: [v for v in real(*args) if v != (-1, 0, 1)])
     with pytest.raises(AssertionError, match=r"predicate root \(-1, 0, 1\) missing"):
         build_datum("t2_1bar")
+
+
+def _bump(table):
+    """The table with its first entry raised by one."""
+    return ((table[0][0] + 1,) + table[0][1:],) + table[1:]
+
+
+@pytest.mark.parametrize("field, mutate, message", [
+    ("printed_gram", _bump, "Gram matrix differs from the table"),
+    ("printed_cartan", _bump, "Cartan matrix differs from the table"),
+    ("rho", lambda rho: tuple(2 * x for x in rho), "Weyl-vector law fails"),
+    ("parabolic", lambda p: not p, "expected parabolic"),
+])
+def test_a_datum_that_breaks_its_tables_or_laws_is_refused(field, mutate, message):
+    datum = build_datum("D2")
+    assert datum.check()
+    bad = replace(datum, **{field: mutate(getattr(datum, field))})
+    with pytest.raises(AssertionError, match=message):
+        bad.check()
 
 
 def test_gram_values_from_the_tables():

@@ -6,10 +6,10 @@ import pytest
 from paramodular.forms import hecke_image
 from paramodular.lift import (SiegelExpansion, closed_form, lift_arith, lift_exp,
                               lift_exp_of)
-from paramodular.qseries import ExactDivisionError, div_operands
+from paramodular.qseries import ExactDivisionError, InsufficientBoxError, div_operands
 from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
                                 hecke_product_T2_of, involution_V, ms_p_of,
-                                restrict_z, siegel_div, siegel_pow)
+                                reflected_sides, restrict_z, siegel_div, siegel_pow)
 
 B = 144
 
@@ -150,9 +150,18 @@ def test_half_restriction_is_an_integer_sum(name):
 
 def test_sigma_reflections_negate_singular_forms():
     d2 = closed_form("d2", 24 * 10, 24 * 48)
-    assert check_sign_under(d2, SIGMA_T9, -1)
+    assert check_sign_under(d2, SIGMA_T9)
     dh = closed_form("d_half", 24 * 10, 24 * 180)
-    assert check_sign_under(dh, SIGMA_T36, -1)
+    assert check_sign_under(dh, SIGMA_T36)
+
+
+def test_a_reflection_with_no_image_inside_the_box_is_refused():
+    # at box 6 every term of d2 is mapped past the box by its reflection
+    d2 = closed_form("d2", B, B)
+    assert d2.series.coeffs
+    with pytest.raises(InsufficientBoxError, match="no reflected term lies inside the box"):
+        reflected_sides(d2, SIGMA_T9)
+    assert not check_sign_under(d2, SIGMA_T9)
 
 
 def test_sigma_matrices_are_involutions():
