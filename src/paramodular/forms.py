@@ -44,9 +44,6 @@ class JacobiExpansion:
         """Coefficient of q^n r^l for rational n, l."""
         return self.series.coeff_at(n, l)
 
-    def fkey(self, n24: int, l2: int) -> int:
-        return self.series.get((n24, l2))
-
     def paper_terms(self):
         """Iterate ((n, l), c) in integer exponent units (q^n r^l); a
         non-integral exponent raises ValueError."""

@@ -38,24 +38,44 @@ def _t_minus_reach(t: int, m: int, depth: int) -> int:
     return depth // m
 
 
-def _t_minus(phi: JacobiExpansion, m: int, step: int, weight) -> Series:
-    """The divisor sum behind both index-raising operators: for each a | m
-    and d = m / a, the source term c q^(n/24) r^(l/2) lands at
-    q^(n a/(24 d)) r^(l a/2) with weight(a) c, kept when d divides n / step,
-    its q-numerator over the lattice step (so that a divides the target's
-    paper exponents)."""
-    tout = _t_minus_reach(phi.index.numerator, m, phi.qmax)
-    terms = [(a, m // a, weight(a)) for a in divisors(m)]
-    coeffs = {}
-    for (n, l), c in phi.series.terms():
-        if n % step:
-            raise ValueError("expansion is not supported on the stated character lattice")
-        for a, d, w in terms:
-            if (n // step) % d == 0 and n * a // d <= tout:
-                key = (n * a // d, l * a)
-                coeffs[key] = coeffs.get(key, 0) + w * c
-    fq = min(Fraction(phi.series.floor[0] * a, d).__floor__() for a, d, _ in terms)
-    return _image_series(coeffs, tout, fq)
+def _t_minus(phi: JacobiExpansion, touts: dict, step: int, weight) -> dict:
+    """The divisor sum behind both index-raising operators and the
+    arithmetic lift, for each m of ``touts``: for each a | m and d = m / a,
+    the source term c q^(n/24) r^(l/2) lands at q^(n a/(24 d)) r^(l a/2)
+    with weight(a, d) c, kept when d divides n / step, its q-numerator over
+    the lattice step (so that a divides the target's paper exponents).
+    Returns m -> the image as a series complete to q-numerator touts[m],
+    reading the input once as q-rows."""
+    rows = phi.series._slices()
+    if any(n % step for n, _ in rows):
+        raise ValueError("expansion is not supported on the stated character lattice")
+    out = {}
+    for m, tout in touts.items():
+        coeffs = {}
+        for a in divisors(m):
+            w, sa, sd = weight(a, m // a), step * a, step * (m // a)
+            # the source rows n = sd j land at sa j <= tout
+            for j in range(-(-phi.series.floor[0] // sd), tout // sa + 1):
+                row = rows.get((sd * j, 0))
+                if row:
+                    for l, c in row.items():
+                        key = (sa * j, l * a)
+                        coeffs[key] = coeffs.get(key, 0) + w * c
+        fq = min(phi.series.floor[0] * a // (m // a) for a in divisors(m))
+        out[m] = _image_series(coeffs, tout, fq)
+    return out
+
+
+def _eta_twist(phi: JacobiExpansion):
+    """(D, weight) of the eta-character twist shared by ``t_minus_char`` and
+    ``lift.arith_lift``: the exponent D, read as 24 (conductor 1) at the
+    trivial character, must be even and divide 24, and a | m weighs
+    a^(k-1) v_eta_sigma(a, D) at the weight k of ``phi``."""
+    D = phi.char.D or 24
+    if D % 2 or 24 % D:
+        raise ValueError("need an even character exponent D dividing 24")
+    k = phi.weight.numerator
+    return D, lambda a, _: a ** (k - 1) * v_eta_sigma(a, D)
 
 
 def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
@@ -67,30 +87,28 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
         raise ValueError("integer index required")
     if m < 1:
         raise ValueError("m must be positive")
-    return JacobiExpansion(_t_minus(phi, m, 24, lambda a: m // a), 0, phi.index * m,
-                           phi.char, phi.kind)
+    tout = _t_minus_reach(phi.index.numerator, m, phi.qmax)
+    ser = _t_minus(phi, {m: tout}, 24, lambda a, d: d)[m]
+    return JacobiExpansion(ser, 0, phi.index * m, phi.char, phi.kind)
 
 
 def t_minus_char(phi: JacobiExpansion, m: int) -> JacobiExpansion:
-    """Index-raising operator twisted by the eta-character of even D | 24:
+    """Index-raising operator twisted by the eta-character of even D | 24
+    (D = 0, the trivial character, read as 24):
     contributions a^(k-1) * v_eta_sigma(a, D) * f(m n / a^2, l / a),
     normalized so that the image's first Fourier-Jacobi data match the
     printed leading slices of the lifted examples."""
-    D = phi.char.D
-    if D % 2 or D == 0 or 24 % D:
-        raise ValueError("need an even D dividing 24")
+    D, weight = _eta_twist(phi)
     Q = 24 // D
     if gcd(m, Q * (2 ** phi.char.eps)) != 1:
         raise ValueError(f"m={m} must be coprime to {Q * 2 ** phi.char.eps}")
     if phi.weight.denominator != 1:
         raise ValueError("integral weight required")
-    k = phi.weight.numerator
-    ser = _t_minus(phi, m, D, lambda a: a ** (k - 1) * v_eta_sigma(a, D))
-    Dout = D
-    if Q > 2 and m % Q == Q - 1:
-        Dout = -Dout  # conjugated character for m = -1 mod Q
-    return JacobiExpansion(ser, phi.weight, phi.index * m,
-                           CharacterTag(Dout, phi.char.eps), phi.kind)
+    Dout = -D if Q > 2 and m % Q == Q - 1 else D  # conjugated for m = -1 mod Q
+    tout = _t_minus_reach(phi.index.numerator, m, phi.qmax)
+    ser = _t_minus(phi, {m: tout}, D, weight)[m]
+    return JacobiExpansion(ser, phi.weight, phi.index * m, CharacterTag(Dout, phi.char.eps),
+                           phi.kind)
 
 
 def gauss_sum(p: int, n: int, l: int, t: int) -> int:

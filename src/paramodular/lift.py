@@ -1,10 +1,12 @@
 """Liftings from Jacobi expansions to three-variable Siegel expansions.
 
-``arith_lift`` realizes the divisor-sum lifting of a Jacobi cusp form with
-eta-power character; ``exp_lift`` the multiplicative (Borcherds-type)
-lifting of a weight-0 form; ``closed_form`` evaluates the explicit
-multi-sum expansions of the classical small-weight forms directly, as
-independent oracles for the identity suite.
+``arith_lift`` realizes the divisor-sum lifting of a Jacobi cusp form phi
+with eta-power character, sum over M = mu mod Q of (phi | T_-(M)) s^(M t),
+on the index-raising kernel of ``hecke`` (no filter on the q-exponent: the
+image lives on N = mu mod Q, as a^2 = 1 mod Q for every a prime to Q | 24);
+``exp_lift`` the multiplicative (Borcherds-type) lifting of a weight-0
+form; ``closed_form`` evaluates the explicit multi-sum expansions of the
+classical small-weight forms directly, as oracles for the identity suite.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from functools import partial
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .chars import CharacterTag, divisors, kronecker, v_eta_sigma
+from .chars import CharacterTag, divisors, kronecker
 from .forms import JacobiExpansion, catalog
+from .hecke import _eta_twist, _t_minus
 from .qseries import InsufficientBoxError, Series
 
 QRS_DENOMS = (24, 2, 24)
@@ -50,68 +53,48 @@ class SiegelExpansion:
 # arithmetic lifting
 
 def _arith_box(phi: JacobiExpansion, qmax: int, smax: int):
-    """(D, Nmax, Mmax, need) for ``arith_lift``: the eta-character exponent,
-    which must be even and divide 24, the largest q- and s-multipliers N, M
-    inside the output box, and the input q-numerator depth D*Nmax*Mmax
-    their products reach.  The input must have an integral weight >= 1 (the
-    divisor sum weighs by a^(k-1)) and a positive index."""
+    """(D, weight, Mmax, need) for ``arith_lift``: ``hecke._eta_twist`` of
+    the input, the largest s-multiplier M inside the output box, and the
+    input q-numerator depth D*Nmax*Mmax that M and the largest q-multiplier
+    N reach.  The input must have an integral weight >= 1 (the divisor sum
+    weighs by a^(k-1)) and a positive index."""
     if phi.weight.denominator != 1 or phi.weight < 1 or phi.index <= 0:
         raise ValueError(f"arithmetic lifting needs an integral weight >= 1 and a "
                          f"positive index, not weight {phi.weight}, index {phi.index}")
-    D = phi.char.D or 24  # trivial character: conductor 1
-    if D % 2 or 24 % D:
-        raise ValueError("need an even character exponent D dividing 24")
-    Nmax = qmax // D
+    D, weight = _eta_twist(phi)
     Mmax = int(Fraction(smax, 24) / phi.index)
-    return D, Nmax, Mmax, D * Nmax * Mmax
+    return D, weight, Mmax, D * (qmax // D) * Mmax
 
 
 def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
                smax: int = 144) -> SiegelExpansion:
     """Divisor-sum lifting of a Jacobi cusp form of integral weight and
-    even eta-character D | 24.
+    even eta-character D | 24, as the stack of its index-raising images,
 
-    The coefficient at q^(N/Q) r^(L/2) s^(M t), for N, M > 0 congruent to
-    mu mod Q and L = eps mod 2, is
+        Lift(phi) = sum over M = mu mod Q of (phi | T_-(M)) s^(M t),
+
+    Q = 24/D, each image from the kernel of ``hecke.t_minus_char``: at
+    q^(N/Q) r^(L/2) s^(M t) the coefficient is
         sum over a | gcd(N, L, M) of a^(k-1) v_eta_sigma(a, D) f(N M D/a^2, L/a)
-    where f is indexed over the q^(n/24) lattice.  qmax/smax are numerator
-    bounds over denominator 24.
+    where f is indexed over the q^(n/24) lattice.  The image needs no
+    filter on N: phi lives on N = 1 mod Q, and each a | M is prime to Q, so
+    a^2 = 1 mod Q (Q divides 24) and the image lives on N = M^-1 = mu mod Q.
+    qmax/smax are numerator bounds over denominator 24.
     """
-    D, Nmax, Mmax, need = _arith_box(phi, qmax, smax)
-    k = phi.weight.numerator
-    Q = 24 // D
+    D, weight, Mmax, need = _arith_box(phi, qmax, smax)
+    Q, t = 24 // D, phi.index
     if gcd(mu, Q) != 1:
         raise ValueError(f"mu={mu} is not invertible modulo Q={Q}")
-    mu %= Q
-    if mu == 0:
-        mu = Q
-    t = phi.index
-    eps = phi.char.eps
-
-    if phi.qmax is not None and phi.qmax < need:
+    mu = (mu - 1) % Q + 1
+    if phi.qmax < need:
         raise InsufficientBoxError(
             f"input known to q-numerator {phi.qmax}, need {need}")
-
-    coeffs = {}
-    for N in range(mu, Nmax + 1, Q):
-        for M in range(mu, Mmax + 1, Q):
-            lbound_sq = Fraction(2, 3) * t * N * M * D
-            lbound = isqrt(int(lbound_sq)) + 1
-            skey = 24 * M * t
-            for L in range(-lbound, lbound + 1):
-                if (L - eps) % 2:
-                    continue
-                acc = 0
-                for a in divisors(gcd(gcd(N, M), L)):
-                    fv = phi.fkey(N * M * D // (a * a), L // a)
-                    if fv:
-                        acc += a ** (k - 1) * v_eta_sigma(a, D) * fv
-                if acc:
-                    coeffs[(N * D, L, int(skey))] = acc
-
+    images = _t_minus(phi, dict.fromkeys(range(mu, Mmax + 1, Q), qmax), D, weight)
+    coeffs = {(n, l, s): c for M, image in images.items() for s in (int(24 * M * t),)
+              for (n, l), c in image.coeffs.items()}
     floor = (D * mu, min((kk[1] for kk in coeffs), default=0), int(24 * mu * t))
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax), floor)
-    return SiegelExpansion(ser, Q * t, k, CharacterTag(D, eps), mu=mu)
+    return SiegelExpansion(ser, Q * t, phi.weight, CharacterTag(D, phi.char.eps), mu=mu)
 
 
 def lift_arith(name: str, mu: int = 1, qmax: int = 144, smax: int = 144) -> SiegelExpansion:
@@ -454,7 +437,7 @@ def divisor_multiplicity(phi: JacobiExpansion, D: int, b: int) -> int:
             break
         if a <= 0 and n > max(4 * t, abs(b)) + 4:
             break
-        out += phi.fkey(24 * n * n * a, 2 * n * b)
+        out += phi.series.get((24 * n * n * a, 2 * n * b))
         n += 1
     return out
 

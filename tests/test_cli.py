@@ -226,9 +226,11 @@ def test_hecke_apply(capsys):
     assert "0,0,44" in out
 
 
-# every operator kind on a form it accepts
+# every operator kind on a form it accepts; tminuschar also at the trivial
+# character, read as conductor 1
 HECKE_REQUESTS = [("lambda:2", "phi_0_1"), ("tminus:2", "phi_0_1"),
-                  ("tminuschar:2", "eta5_theta2z"), ("t0:2", "phi_0_2"),
+                  ("tminuschar:2", "eta5_theta2z"), ("tminuschar:2", "eta21_theta2z"),
+                  ("tminuschar:2", "eta3_theta6_theta2z"), ("t0:2", "phi_0_2"),
                   ("t0:3", "phi_0_4"), ("tplus2", "phi_0_2"), ("tplus14", "phi_0_4"),
                   ("lambdastar:2", "phi_0_4")]
 

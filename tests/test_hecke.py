@@ -123,6 +123,26 @@ def test_t_minus_char_coprimality():
         t_minus_char(catalog("eta5_theta2z", 96), 3)   # Q = 3
 
 
+@pytest.mark.parametrize("name", ["eta21_theta2z", "eta3_theta6_theta2z"])
+def test_t_minus_char_reads_the_trivial_character_as_conductor_one(name):
+    # D = 0 is the eta-power 24, of conductor Q = 1, as in the arithmetic
+    # lift: the divisor a of m weighs a^(k-1), and the character is kept
+    phi = catalog(name, 24 * 12)
+    k, t = phi.weight.numerator, phi.index
+    for m in (1, 2, 3):
+        img = t_minus_char(phi, m)
+        assert img.index == m * t and img.char == phi.char
+        want = {}
+        for N in range(img.qmax // 24 + 1):
+            lb = 2 * isqrt(int(4 * m * t * N)) + 2
+            for L2 in range(-lb, lb + 1):
+                c = sum(a ** (k - 1) * phi.f(Fraction(N * m, a * a), Fraction(L2, 2 * a))
+                        for a in range(1, m + 1) if gcd(gcd(N, L2), m) % a == 0)
+                if c:
+                    want[(24 * N, L2)] = c
+        assert want and img.series.coeffs == want, m
+
+
 def test_gauss_sum_closed_cases():
     assert gauss_sum(3, 0, 1, 3) == 0
     assert gauss_sum(2, 1, 0, 1) == 0          # 2 * (-4/2) = 0

@@ -138,7 +138,7 @@ def test_diagnostics_refuse_non_integral_exponents():
     # phi_1_4 = eta^2 phi_0_4 has q-exponents in 1/12 + Z: flooring them
     # would read a zero checksum and an even parity off a weight-1 form
     p = catalog("phi_1_4", 96)
-    assert p.fkey(2, 0)
+    assert p.series.get((2, 0))
     for diagnostic in (lemma22_checksum, vt_parity):
         with pytest.raises(ValueError, match="not integral"):
             diagnostic(p)
@@ -163,7 +163,7 @@ def test_divisor_multiplicity_box_dependence():
     # n = 2 term f(8, 18) = f(0, -2) = 1 forced by the elliptic
     # transformation law f(n, l) = f(n + l + t, l + 2t)
     p10 = catalog("phi_0_10", 24 * 40)
-    assert p10.fkey(192, 36) == p10.fkey(0, -4) == 1
+    assert p10.series.get((192, 36)) == p10.series.get((0, -4)) == 1
     assert divisor_multiplicity(p10.restricted(144), 1, 9) == 1
     assert divisor_multiplicity(p10, 1, 9) == 2
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from paramodular.forms import catalog, hecke_image
 from paramodular.lift import closed_form, lift_arith, lift_exp
 
 MANIFEST = Path(__file__).resolve().parent / "lift_digests.json"
@@ -103,6 +104,25 @@ def test_arith_lifts_agree_across_boxes(name):
     _assert_monotone(small, big)
     # the lift computes exactly its box, so it claims no numerator past it
     assert small.series.trunc[::2] == (24 * LIFT_BOX, 24 * LIFT_BOX)
+
+
+@pytest.mark.parametrize("name, mu", [(name, 1) for name in ARITH_NAMES]
+                         + [("eta5_theta2z", 2)])
+def test_arith_lift_is_the_stack_of_its_t_minus_images(name, mu):
+    # the s^(M t) slice of the lift is the public T_-(M) image of its input,
+    # for every M = mu mod Q; the s-box reaches M = 2, so no lift is empty
+    t = catalog(name, 24).index
+    smax = max(96, int(48 * t))
+    F = lift_arith(name, mu, 96, smax)
+    slices = {}
+    for (q, r, s), c in F.series.terms():
+        slices.setdefault(s, {})[(q, r)] = c
+    stack = {}
+    for M in range(mu, int(smax / (24 * t)) + 1, 24 // (F.char.D or 24)):
+        image = hecke_image(f"tminuschar:{M}", name, 96).series.coeffs
+        if image:
+            stack[int(24 * M * t)] = image
+    assert slices and slices == stack
 
 
 if __name__ == "__main__":
