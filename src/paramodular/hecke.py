@@ -38,44 +38,40 @@ def _t_minus_reach(t: int, m: int, depth: int) -> int:
     return depth // m
 
 
-def _t_minus(phi: JacobiExpansion, touts: dict, step: int, weight) -> dict:
+def _t_minus(phi: JacobiExpansion, step: int, weight):
     """The divisor sum behind both index-raising operators and the
-    arithmetic lift, for each m of ``touts``: for each a | m and d = m / a,
-    the source term c q^(n/24) r^(l/2) lands at q^(n a/(24 d)) r^(l a/2)
-    with weight(a, d) c, kept when d divides n / step, its q-numerator over
-    the lattice step (so that a divides the target's paper exponents).
-    Returns m -> the image as a series complete to q-numerator touts[m],
-    reading the input once as q-rows."""
+    arithmetic lift: for each a | m and d = m / a, the source term
+    c q^(n/24) r^(l/2) lands at q^(n a/(24 d)) r^(l a/2) with weight(a) c,
+    kept when d divides n / step, its q-numerator over the lattice step (so
+    that a divides the target's paper exponents).  Reads ``phi`` once as
+    q-rows and returns (m, tout) -> the image complete to q-numerator tout."""
     rows = phi.series._slices()
     if any(n % step for n, _ in rows):
         raise ValueError("expansion is not supported on the stated character lattice")
-    out = {}
-    for m, tout in touts.items():
+
+    def image(m: int, tout: int) -> Series:
         coeffs = {}
         for a in divisors(m):
-            w, sa, sd = weight(a, m // a), step * a, step * (m // a)
+            w, sa, sd = weight(a), step * a, step * (m // a)
             # the source rows n = sd j land at sa j <= tout
             for j in range(-(-phi.series.floor[0] // sd), tout // sa + 1):
-                row = rows.get((sd * j, 0))
-                if row:
-                    for l, c in row.items():
-                        key = (sa * j, l * a)
-                        coeffs[key] = coeffs.get(key, 0) + w * c
+                for l, c in rows.get((sd * j, 0), {}).items():
+                    key = (sa * j, l * a)
+                    coeffs[key] = coeffs.get(key, 0) + w * c
         fq = min(phi.series.floor[0] * a // (m // a) for a in divisors(m))
-        out[m] = _image_series(coeffs, tout, fq)
-    return out
+        return _image_series(coeffs, tout, fq)
+    return image
 
 
 def _eta_twist(phi: JacobiExpansion):
-    """(D, weight) of the eta-character twist shared by ``t_minus_char`` and
-    ``lift.arith_lift``: the exponent D, read as 24 (conductor 1) at the
-    trivial character, must be even and divide 24, and a | m weighs
-    a^(k-1) v_eta_sigma(a, D) at the weight k of ``phi``."""
+    """(D, weight) of the eta-character twist of ``t_minus_char`` and
+    ``lift.arith_lift``: D (24, conductor 1, at the trivial character) must
+    be even and divide 24, and a | m weighs a^(k-1) v_eta_sigma(a, D)."""
     D = phi.char.D or 24
     if D % 2 or 24 % D:
         raise ValueError("need an even character exponent D dividing 24")
     k = phi.weight.numerator
-    return D, lambda a, _: a ** (k - 1) * v_eta_sigma(a, D)
+    return D, lambda a: a ** (k - 1) * v_eta_sigma(a, D)
 
 
 def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
@@ -88,7 +84,7 @@ def t_minus_weight0(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     if m < 1:
         raise ValueError("m must be positive")
     tout = _t_minus_reach(phi.index.numerator, m, phi.qmax)
-    ser = _t_minus(phi, {m: tout}, 24, lambda a, d: d)[m]
+    ser = _t_minus(phi, 24, lambda a: m // a)(m, tout)
     return JacobiExpansion(ser, 0, phi.index * m, phi.char, phi.kind)
 
 
@@ -105,8 +101,7 @@ def t_minus_char(phi: JacobiExpansion, m: int) -> JacobiExpansion:
     if phi.weight.denominator != 1:
         raise ValueError("integral weight required")
     Dout = -D if Q > 2 and m % Q == Q - 1 else D  # conjugated for m = -1 mod Q
-    tout = _t_minus_reach(phi.index.numerator, m, phi.qmax)
-    ser = _t_minus(phi, {m: tout}, D, weight)[m]
+    ser = _t_minus(phi, D, weight)(m, _t_minus_reach(phi.index.numerator, m, phi.qmax))
     return JacobiExpansion(ser, phi.weight, phi.index * m, CharacterTag(Dout, phi.char.eps),
                            phi.kind)
 

@@ -1,9 +1,9 @@
 """Liftings from Jacobi expansions to three-variable Siegel expansions.
 
 ``arith_lift`` realizes the divisor-sum lifting of a Jacobi cusp form phi
-with eta-power character, sum over M = mu mod Q of (phi | T_-(M)) s^(M t),
-on the index-raising kernel of ``hecke`` (no filter on the q-exponent: the
-image lives on N = mu mod Q, as a^2 = 1 mod Q for every a prime to Q | 24);
+with eta-power character, sum over M = mu mod Q of (phi | T_-(M))^+ s^(M t)
+on the index-raising kernel of ``hecke`` (^+: the terms with N > 0 and
+L = eps mod 2; no filter on N mod Q, as a^2 = 1 mod Q for a prime to Q | 24);
 ``exp_lift`` the multiplicative (Borcherds-type) lifting of a weight-0
 form; ``closed_form`` evaluates the explicit multi-sum expansions of the
 classical small-weight forms directly, as oracles for the identity suite.
@@ -71,27 +71,33 @@ def arith_lift(phi: JacobiExpansion, mu: int = 1, qmax: int = 144,
     """Divisor-sum lifting of a Jacobi cusp form of integral weight and
     even eta-character D | 24, as the stack of its index-raising images,
 
-        Lift(phi) = sum over M = mu mod Q of (phi | T_-(M)) s^(M t),
+        Lift(phi) = sum over M = mu mod Q of (phi | T_-(M))^+ s^(M t),
 
     Q = 24/D, each image from the kernel of ``hecke.t_minus_char``: at
     q^(N/Q) r^(L/2) s^(M t) the coefficient is
         sum over a | gcd(N, L, M) of a^(k-1) v_eta_sigma(a, D) f(N M D/a^2, L/a)
-    where f is indexed over the q^(n/24) lattice.  The image needs no
-    filter on N: phi lives on N = 1 mod Q, and each a | M is prime to Q, so
-    a^2 = 1 mod Q (Q divides 24) and the image lives on N = M^-1 = mu mod Q.
-    qmax/smax are numerator bounds over denominator 24.
+    where f is indexed over the q^(n/24) lattice.  No filter on N mod Q is
+    needed: each a | M is prime to Q | 24, so a^2 = 1 mod Q and the image of
+    phi (on N = 1 mod Q) lives on N = M^-1 = mu mod Q.  ^+ keeps the terms
+    with N > 0, not the q^0 row of a non-cusp input such as E4_1, and with
+    L = eps mod 2, not the even L that a = 2 makes at an even M when eps = 1
+    and Q is odd (``t_minus_char`` refuses such M).  qmax/smax are numerator
+    bounds over denominator 24.
     """
     D, weight, Mmax, need = _arith_box(phi, qmax, smax)
-    Q, t = 24 // D, phi.index
+    Q, t, eps = 24 // D, phi.index, phi.char.eps
     if gcd(mu, Q) != 1:
         raise ValueError(f"mu={mu} is not invertible modulo Q={Q}")
     mu = (mu - 1) % Q + 1
-    if phi.qmax < need:
+    if phi.qmax is not None and phi.qmax < need:
         raise InsufficientBoxError(
             f"input known to q-numerator {phi.qmax}, need {need}")
-    images = _t_minus(phi, dict.fromkeys(range(mu, Mmax + 1, Q), qmax), D, weight)
-    coeffs = {(n, l, s): c for M, image in images.items() for s in (int(24 * M * t),)
-              for (n, l), c in image.coeffs.items()}
+    coeffs, image = {}, _t_minus(phi, D, weight)
+    for M in range(mu, Mmax + 1, Q):
+        s = int(24 * M * t)
+        for (n, l), c in image(M, qmax).terms():
+            if n > 0 and (l - eps) % 2 == 0:
+                coeffs[(n, l, s)] = c
     floor = (D * mu, min((kk[1] for kk in coeffs), default=0), int(24 * mu * t))
     ser = Series(3, QRS_DENOMS, coeffs, (qmax, None, smax), floor)
     return SiegelExpansion(ser, Q * t, phi.weight, CharacterTag(D, phi.char.eps), mu=mu)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from paramodular import lift
-from paramodular.forms import catalog
-from paramodular.hecke import t0, t_minus_weight0
+from paramodular.chars import divisors, v_eta_sigma
+from paramodular.forms import catalog, eta_power, theta_series
+from paramodular.hecke import t0, t_minus_char, t_minus_weight0
 from paramodular.lift import (InsufficientBoxError, arith_lift, closed_form,
                               divisor_multiplicity, exp_lift, lemma22_checksum,
                               lift_arith, lift_exp, vt_parity)
@@ -58,10 +60,48 @@ def test_arith_lift_exponent_swap_symmetry():
 def test_arith_lift_requires_even_divisor_character():
     with pytest.raises(ValueError):
         arith_lift(catalog("theta", 96), 1, B, B)   # half-integral weight
-    from paramodular.forms import eta_power, theta_series
     shallow = eta_power(1, 72) * theta_series(72)
     with pytest.raises(InsufficientBoxError):
         arith_lift(shallow, 1, B, B)
+
+
+def _lift_by_divisor_sum(phi, mu, qmax, smax):
+    # the lift's coefficient formula term by term, over N, M > 0 congruent
+    # to mu mod Q and L = eps mod 2, with 4 (N/Q)(M t) >= (L/2)^2
+    D = phi.char.D or 24
+    Q, k, t, eps = 24 // D, phi.weight.numerator, phi.index, phi.char.eps
+    want = {}
+    for N in range(mu, qmax // D + 1, Q):
+        for M in range(mu, int(Fraction(smax, 24) / t) + 1, Q):
+            lb = isqrt(int(16 * N * M * t / Q)) + 1
+            for L in range(-lb + (lb - eps) % 2, lb + 1, 2):
+                c = sum(a ** (k - 1) * v_eta_sigma(a, D)
+                        * phi.series.get((N * M * D // (a * a), L // a))
+                        for a in divisors(gcd(gcd(N, M), L)))
+                if c:
+                    want[(N * D, L, int(24 * M * t))] = c
+    return want
+
+
+@pytest.mark.parametrize("phi, mu", [
+    ("E4_1", 1), ("E6_1", 1),             # a q^0 row, which the lift drops
+    ("eta5_theta", 1), ("eta5_theta", 2),  # eps = 1 and Q = 3: M may be even
+])
+def test_arith_lift_keeps_positive_n_and_the_parity_of_l(phi, mu):
+    if phi == "eta5_theta":
+        phi = eta_power(5, 24 * 32) * theta_series(24 * 32)
+        assert (phi.char.D, phi.char.eps) == (8, 1)
+        with pytest.raises(ValueError, match="coprime"):
+            t_minus_char(phi, 2)
+    else:
+        phi = catalog(phi, 24 * 16)
+        assert any(n == 0 for n, _ in t_minus_char(phi, 1).series.coeffs)
+    F = arith_lift(phi, mu, 96, 96)
+    F.series.check()
+    assert all(q > 0 and (l - phi.char.eps) % 2 == 0 for q, l, _ in F.series.coeffs)
+    if phi.char.eps:
+        assert any(Fraction(s, 24) / phi.index % 2 == 0 for *_, s in F.series.coeffs)
+    assert F.series.coeffs and F.series.coeffs == _lift_by_divisor_sum(phi, mu, 96, 96)
 
 
 def test_arith_lift_vanishing_mu_is_reported_not_raised():
