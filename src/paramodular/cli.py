@@ -1,13 +1,11 @@
 """Command-line front end: expansions, operators, lifts, identity checks,
 golden-file regression, and JSON/CSV export."""
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import forms, hecke, identities, kmroots, lift, siegel
 from .qseries import Series
@@ -134,17 +132,13 @@ def _canonical(ser: Series, box) -> Series:
     return Series(ser.nvars, ser.denoms, dict(ser.coeffs), ser.trunc, floor)
 
 
-def _export_text(name: str, fmt: str, qmax: int, smax: int) -> str:
-    if name in forms.registry_names():
-        ser = _canonical(forms.catalog(name, qmax).series, (qmax,))
-    else:
-        ser = _canonical(lift.siegel_expansion(name, qmax, smax).series, (qmax, smax))
-    return _series_csv(ser) if fmt == "csv" else _series_json(ser) + "\n"
-
-
 def cmd_export(args) -> int:
     q, s = _box(args)
-    text = _export_text(args.id, args.format, q, s)
+    if args.id in forms.registry_names():
+        ser = _canonical(forms.catalog(args.id, q).series, (q,))
+    else:
+        ser = _canonical(lift.siegel_expansion(args.id, q, s).series, (q, s))
+    text = _series_csv(ser) if args.format == "csv" else _series_json(ser) + "\n"
     if args.goldens:
         path = Path(args.goldens) / f"{args.id.replace(':', '_')}.{args.format}"
         if args.regen_goldens:
@@ -187,133 +181,138 @@ def _box_bound(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"a box bound must be >= 0, got {n}")
+        raise ValueError(f"a box bound must be >= 0, got {n}")
     return n
 
 
-def _box_opts(p, q=6, s=6):
-    p.add_argument("--qmax", type=_box_bound, default=q, help="q-exponent bound (exponent units)")
-    p.add_argument("--smax", type=_box_bound, default=s, help="s-exponent bound (exponent units)")
+# A leaf of the command table maps each positional name, in order, and each
+# option flag to (dest, converter, default).  The converter may be a tuple
+# of the values accepted, or None for a store-true flag; a _REQUIRED
+# default marks a value that must be given.
+_REQUIRED = ...
+_BOX = {"--qmax": ("qmax", _box_bound, 6), "--smax": ("smax", _box_bound, 6)}
+_OUTPUT = {"-o": ("output", str, None), "--output": ("output", str, None)}
+_EMIT = {**_BOX, "--csv": ("csv", None, False), **_OUTPUT}  # the options of _emit's commands
+_FORM = {"--form": ("form", str, _REQUIRED), **_EMIT}
+_LIFT = {"name": ("name", str, _REQUIRED), **_EMIT}
 
-
-def _emit_opts(p):
-    """The options of the commands that print one series through _emit."""
-    _box_opts(p)
-    p.add_argument("--csv", action="store_true", help="CSV output (default JSON)")
-    p.add_argument("-o", "--output", help="write to file")
-
-
-def _form_args(p):
-    fe = p.add_subparsers(dest="verb", required=True).add_parser("expand")
-    fe.add_argument("name", choices=forms.registry_names())
-    _emit_opts(fe)
-
-
-def _hecke_args(p):
-    ha = p.add_subparsers(dest="verb", required=True).add_parser("apply")
-    ha.add_argument("--op", required=True,
-                    help="descriptor like t0:2, tminus:3, lambda:2, tplus2, tplus14")
-    ha.add_argument("--form", required=True)
-    _emit_opts(ha)
-
-
-def _lift_args(p):
-    lsub = p.add_subparsers(dest="kind", required=True)
-    for kind in ("arith", "exp", "closed"):
-        lp = lsub.add_parser(kind)
-        lp.add_argument("name")
-        if kind == "arith":
-            lp.add_argument("--mu", type=int, default=1)
-        _emit_opts(lp)
-
-
-def _siegel_args(p):
-    ssub = p.add_subparsers(dest="verb", required=True)
-    for verb in ("msym", "heckeprod", "restrict", "involution"):
-        spp = ssub.add_parser(verb)
-        spp.add_argument("--form", required=True)
-        if verb == "msym":
-            spp.add_argument("--p", type=int, required=True)
-        if verb == "restrict":
-            spp.add_argument("--alpha", choices=["0", "half"], required=True)
-        _emit_opts(spp)
-
-
-def _roots_args(p):
-    rsub = p.add_subparsers(dest="verb", required=True)
-    rsub.add_parser("check").add_argument("case", choices=kmroots.case_ids())
-    rl = rsub.add_parser("lie-check")
-    rl.add_argument("case", choices=sorted(kmroots.CASE_FORMS))
-    _box_opts(rl)
-
-
-def _verify_args(p):
-    p.add_argument("id", nargs="?", default="all")
-    p.add_argument("--section", default=None)
-    _box_opts(p)
-    p.add_argument("--json", action="store_true", help="JSON output")
-
-
-def _export_args(p):
-    p.add_argument("id")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--goldens", default=None, help="compare against a goldens dir")
-    p.add_argument("--regen-goldens", action="store_true")
-    _box_opts(p, 3, 3)
-    p.add_argument("-o", "--output", help="write to file")
-
-
-def _diff_args(p):
-    p.add_argument("a")
-    p.add_argument("b")
-
-
-# command -> (help, handler, the function that adds its arguments), in usage order
+# command -> (help, handler, verb dest, {verb: leaf}), or (help, handler,
+# None, leaf) for a command without verbs; in usage order
 _COMMANDS = {
-    "form": ("expand a catalog Jacobi form", cmd_form, _form_args),
-    "hecke": ("apply a Hecke operator", cmd_hecke, _hecke_args),
-    "lift": ("arithmetic/exponential/closed-form liftings", cmd_lift, _lift_args),
-    "siegel": ("algebra on three-variable expansions", cmd_siegel, _siegel_args),
-    "roots": ("hyperbolic root-system data", cmd_roots, _roots_args),
-    "verify": ("run identity checks", cmd_verify, _verify_args),
-    "export": ("deterministic JSON/CSV coefficient export", cmd_export, _export_args),
-    "diff": ("compare two exported JSON series", cmd_diff, _diff_args),
-    "manifest": ("print the registry manifest", cmd_manifest, lambda p: None),
+    "form": ("expand a catalog Jacobi form", cmd_form, "verb", {
+        "expand": {"name": ("name", tuple(forms.registry_names()), _REQUIRED), **_EMIT}}),
+    "hecke": ("apply a Hecke operator", cmd_hecke, "verb", {
+        "apply": {"--op": ("op", str, _REQUIRED), **_FORM}}),
+    "lift": ("arithmetic/exponential/closed-form liftings", cmd_lift, "kind", {
+        "arith": {**_LIFT, "--mu": ("mu", int, 1)}, "exp": _LIFT, "closed": _LIFT}),
+    "siegel": ("algebra on three-variable expansions", cmd_siegel, "verb", {
+        "msym": {**_FORM, "--p": ("p", int, _REQUIRED)},
+        "heckeprod": _FORM,
+        "restrict": {**_FORM, "--alpha": ("alpha", ("0", "half"), _REQUIRED)},
+        "involution": _FORM}),
+    "roots": ("hyperbolic root-system data", cmd_roots, "verb", {
+        "check": {"case": ("case", tuple(kmroots.case_ids()), _REQUIRED)},
+        "lie-check": {"case": ("case", tuple(sorted(kmroots.CASE_FORMS)), _REQUIRED),
+                      **_BOX}}),
+    "verify": ("run identity checks", cmd_verify, None, {"id": ("id", str, "all"),
+        "--section": ("section", str, None), **_BOX, "--json": ("json", None, False)}),
+    "export": ("deterministic JSON/CSV coefficient export", cmd_export, None, {
+        "id": ("id", str, _REQUIRED), "--format": ("format", ("json", "csv"), "json"),
+        "--goldens": ("goldens", str, None), "--regen-goldens": ("regen_goldens", None, False),
+        "--qmax": ("qmax", _box_bound, 3), "--smax": ("smax", _box_bound, 3), **_OUTPUT}),
+    "diff": ("compare two exported JSON series", cmd_diff, None, {
+        "a": ("a", str, _REQUIRED), "b": ("b", str, _REQUIRED)}),
+    "manifest": ("print the registry manifest", cmd_manifest, None, {}),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The argparse tree.  Given a known ``command``, only its subtree is
-    built; the other commands stay choices of the top level, with no
-    parser, so its usage line reads as the full tree's."""
-    ap = argparse.ArgumentParser(
-        prog="paramodular",
-        description="Exact Fourier expansions of Jacobi and paramodular forms, "
-                    "their liftings, and identity verification.")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-    for name, (text, handler, add_args) in _COMMANDS.items():
-        if command not in _COMMANDS or command == name:
-            p = sub.add_parser(name, help=text)
-            p.set_defaults(func=handler)
-            add_args(p)
-        else:
-            sub.choices[name] = None  # named in the usage line, never parsed
-    return ap
+class _Exit(Exception):
+    """Parsing ends, with (usage, None) for help or (usage, a usage error)."""
+
+
+def _name(prog: str, names: dict, argv: list):
+    """The command or verb that starts ``argv``, and the words after it."""
+    usage = f"usage: {prog} [-h] {{{','.join(names)}}} ..."
+    if argv[:1] in (["-h"], ["--help"]):
+        rows = [f"  {n:9s} {row[0]}" for n, row in names.items()] if names is _COMMANDS else []
+        raise _Exit("\n".join([usage, *rows]), None)
+    if not argv or argv[0] not in names:
+        raise _Exit(usage, f"invalid choice: {argv[0]!r}" if argv else "a choice is required")
+    return argv[0], argv[1:]
+
+
+def _is_flag(word: str) -> bool:
+    return len(word) > 1 and word[0] == "-" and not word[1].isdigit()
+
+
+def _leaf(prog: str, leaf: dict, argv: list) -> dict:
+    """The values a leaf's positionals and options take from ``argv``, in
+    any order; ``--flag=value`` gives a flag its value in one word."""
+    shown = [(f"{k} {d.upper()}" if _is_flag(k) and c else k, x) for k, (d, c, x) in leaf.items()]
+    usage = " ".join([f"usage: {prog} [-h]"] + [w if x is _REQUIRED else f"[{w}]" for w, x in shown])
+    ns = {dest: default for dest, _, default in leaf.values()}
+    waiting, words = [k for k in leaf if not _is_flag(k)], iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            raise _Exit(usage, None)
+        key, eq, value = word.partition("=") if _is_flag(word) else (word, "", word)
+        if not _is_flag(word) and waiting:
+            key = waiting.pop(0)
+        elif not _is_flag(word) or key not in leaf or eq and leaf[key][1] is None:
+            raise _Exit(usage, f"unrecognized arguments: {word}")
+        elif leaf[key][1] is None:
+            value = True
+        elif not eq:
+            value = next(words, None)
+            if value is None or _is_flag(value):
+                raise _Exit(usage, f"argument {key}: expected one argument")
+        dest, conv, _ = leaf[key]
+        if isinstance(conv, tuple) and value not in conv:
+            raise _Exit(usage, f"argument {key}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(conv)})")
+        try:
+            ns[dest] = conv(value) if callable(conv) else value
+        except ValueError as exc:
+            raise _Exit(usage, f"argument {key}: {exc}") from None
+    missing = [k for k, (dest, _, _) in leaf.items() if ns[dest] is _REQUIRED]
+    if missing:
+        raise _Exit(usage, f"the following arguments are required: {', '.join(missing)}")
+    return ns
+
+
+def parse(argv: list):
+    """The namespace of a request: ``cmd``, its verb, one attribute per
+    positional and option, and ``func``, its handler.  A request that ends
+    here, with help or a usage error, gives its exit code instead."""
+    try:
+        cmd, rest = _name("paramodular", _COMMANDS, argv)
+        _, handler, verb, leaf = _COMMANDS[cmd]
+        prog, ns = f"paramodular {cmd}", {"cmd": cmd, "func": handler}
+        if verb:
+            ns[verb], rest = _name(prog, leaf, rest)
+            prog, leaf = f"{prog} {ns[verb]}", leaf[ns[verb]]
+        ns.update(_leaf(prog, leaf, rest))
+    except _Exit as stop:
+        usage, error = stop.args
+        if error is None:
+            print(usage)
+            return EXIT_OK
+        print(f"{usage}\nparamodular: error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    return SimpleNamespace(**ns)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser(argv[0] if argv else None)
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = parse(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(args, int):
+        return args
     try:
         return args.func(args)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, OSError) as exc:  # OSError: a file the request names
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
+              file=sys.stderr)
         return EXIT_USAGE
     except Exception:
         import traceback  # only on failure: importing it costs ~0.3 MB of RSS

@@ -1,4 +1,3 @@
-import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from paramodular import cli
 from paramodular.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from paramodular.qseries import Series
 
@@ -390,55 +388,28 @@ def test_the_engine_does_not_import_cyclotomic():
     assert r.returncode == 0, r.stderr
 
 
-# one valid request per command, then help and usage errors at every level
-IDENTITY_ARGVS = [
-    ["form", "expand", "theta", "--qmax", "1"],
-    ["hecke", "apply", "--op", "t0:2", "--form", "phi_0_2", "--qmax", "1"],
-    ["lift", "closed", "delta1", "--qmax", "1", "--smax", "1"],
-    ["siegel", "involution", "--form", "delta1", "--qmax", "1", "--smax", "1"],
-    ["roots", "check", "t1_I_odd"],
-    ["roots", "lie-check", "D2", "--qmax", "1", "--smax", "1"],
-    ["verify", "eq2.24", "--qmax", "1", "--smax", "1"],
-    ["export", "delta1", "--qmax", "1", "--smax", "1"],
-    ["diff", "goldens/delta1.json", "goldens/delta2.json"],
-    ["manifest"],
-    ["-h"],
-    ["roots", "-h"],
-    ["roots", "check", "-h"],
-    ["siegel", "msym", "-h"],
-    [],
-    ["nope"],
-    ["roots", "nope"],
-    ["roots", "check", "nope"],
-    ["siegel", "msym", "--form", "delta5"],
-    ["roots", "check", "t1_I_odd", "--bogus"],
-]
+def test_a_request_does_not_import_argparse():
+    code = ("import sys, paramodular.cli as cli; "
+            "assert cli.main(['roots', 'check', 't1_I_odd']) == 0; "
+            "assert 'argparse' not in sys.modules")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("argv", IDENTITY_ARGVS, ids=lambda a: " ".join(a) or "no-arguments")
-def test_a_request_prints_what_the_full_parser_tree_prints(monkeypatch, capsys, argv):
-    monkeypatch.chdir(ROOT)
-    monkeypatch.setenv("COLUMNS", "80")
-
-    def outcome():
-        rc = main(list(argv))
-        return (rc, *capsys.readouterr())
-
-    narrowed = outcome()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert outcome() == narrowed
+@pytest.mark.parametrize("argv, path", [
+    ("diff {tmp}/nope.json {root}/goldens/delta1.json", "{tmp}/nope.json"),
+    ("export delta1 --goldens {tmp} --qmax 1 --smax 1", "{tmp}/delta1.json"),
+    ("lift closed delta1 --qmax 1 --smax 1 -o {tmp}/no_dir/x.json", "{tmp}/no_dir/x.json"),
+], ids=["diff", "export", "lift"])
+def test_a_file_error_is_a_usage_error_naming_the_path(tmp_path, capsys, argv, path):
+    argv, path = (text.format(tmp=tmp_path, root=ROOT) for text in (argv, path))
+    assert main(argv.split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and path in captured.err
 
 
-def test_a_request_builds_only_its_command_parsers(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert main(["roots", "check", "t1_I_odd"]) == EXIT_OK
-    # the top level, roots, and its two verbs
-    assert len(built) <= 4, built
+def test_an_unknown_identity_prints_the_key_error_message(capsys):
+    assert main(["verify", "nope"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown identity 'nope'\n"
