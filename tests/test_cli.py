@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+from paramodular import cli
 from paramodular.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from paramodular.qseries import Series
 
@@ -386,6 +388,49 @@ def test_the_engine_does_not_import_cyclotomic():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
     assert r.returncode == 0, r.stderr
+
+
+# one valid request per command, then help and usage errors at every level
+IDENTITY_ARGVS = [
+    ["form", "expand", "theta", "--qmax", "1"],
+    ["hecke", "apply", "--op", "t0:2", "--form", "phi_0_2", "--qmax", "1"],
+    ["lift", "closed", "delta1", "--qmax", "1", "--smax", "1"],
+    ["siegel", "involution", "--form", "delta1", "--qmax", "1", "--smax", "1"],
+    ["roots", "check", "t1_I_odd"],
+    ["roots", "lie-check", "D2", "--qmax", "1", "--smax", "1"],
+    ["verify", "eq2.24", "--qmax", "1", "--smax", "1"],
+    ["export", "delta1", "--qmax", "1", "--smax", "1"],
+    ["diff", "goldens/delta1.json", "goldens/delta2.json"],
+    ["manifest"],
+    ["-h"],
+    ["roots", "-h"],
+    ["roots", "check", "-h"],
+    ["siegel", "msym", "-h"],
+    [],
+    ["nope"],
+    ["roots", "nope"],
+    ["roots", "check", "nope"],
+    ["siegel", "msym", "--form", "delta5"],
+    ["roots", "check", "t1_I_odd", "--bogus"],
+]
+
+# the full argparse tree's verdict on each argv, recorded before the table parser
+FULL_TREE = {tuple(row["argv"]): row
+             for row in json.loads((ROOT / "tests" / "cli_parse_pin.json").read_text())}
+
+
+@pytest.mark.parametrize("argv", IDENTITY_ARGVS, ids=lambda a: " ".join(a) or "no-arguments")
+def test_a_request_prints_what_the_full_parser_tree_prints(monkeypatch, capsys, argv):
+    monkeypatch.chdir(ROOT)
+    row = FULL_TREE[tuple(argv)]
+    rc = main(list(argv))
+    out, err = capsys.readouterr()
+    if "exit" in row:  # help, or a usage error
+        assert (rc, bool(out)) == (row["exit"], row["printed"])
+        return
+    # main prints what the handler prints for the full tree's namespace
+    args = types.SimpleNamespace(**row["args"], func=getattr(cli, row["handler"]))
+    assert (rc, out, err) == (args.func(args), *capsys.readouterr())
 
 
 def test_a_request_does_not_import_argparse():

@@ -24,33 +24,10 @@ from pathlib import Path
 import pytest
 
 from paramodular import cli
+from test_cli import IDENTITY_ARGVS
 
 ROOT = Path(__file__).resolve().parent.parent
 PIN = Path(__file__).resolve().parent / "cli_parse_pin.json"
-
-# one valid request per command, then help and usage errors at every level
-IDENTITY_ARGVS = [
-    ["form", "expand", "theta", "--qmax", "1"],
-    ["hecke", "apply", "--op", "t0:2", "--form", "phi_0_2", "--qmax", "1"],
-    ["lift", "closed", "delta1", "--qmax", "1", "--smax", "1"],
-    ["siegel", "involution", "--form", "delta1", "--qmax", "1", "--smax", "1"],
-    ["roots", "check", "t1_I_odd"],
-    ["roots", "lie-check", "D2", "--qmax", "1", "--smax", "1"],
-    ["verify", "eq2.24", "--qmax", "1", "--smax", "1"],
-    ["export", "delta1", "--qmax", "1", "--smax", "1"],
-    ["diff", "goldens/delta1.json", "goldens/delta2.json"],
-    ["manifest"],
-    ["-h"],
-    ["roots", "-h"],
-    ["roots", "check", "-h"],
-    ["siegel", "msym", "-h"],
-    [],
-    ["nope"],
-    ["roots", "nope"],
-    ["roots", "check", "nope"],
-    ["siegel", "msym", "--form", "delta5"],
-    ["roots", "check", "t1_I_odd", "--bogus"],
-]
 
 EDGE_ARGVS = [
     "form expand phi_0_1 --qmax=3",
