@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .chars import CharacterTag, divisors, kronecker
 from .forms import JacobiExpansion, catalog
 from .hecke import _eta_twist, _t_minus
-from .qseries import InsufficientBoxError, Series
+from .qseries import InsufficientBoxError, Series, _mul_into
 
 QRS_DENOMS = (24, 2, 24)
 
@@ -131,9 +131,10 @@ def siegel_expansion(ident: str, qmax: int, smax: int) -> SiegelExpansion:
 def lift_exp_of(build, qmax: int, smax: int) -> SiegelExpansion:
     """Exponential lifting of ``build(depth)``, a Jacobi expansion complete
     to the q-numerator ``depth``, asking ``build`` for the depth the plan of
-    ``exp_lift`` needs.  The plan reads only the q^0 and negative-q rows,
-    which a depth-96 probe already shows."""
-    depth = _exp_plan(build(96), qmax, smax).depth
+    ``exp_lift`` needs.  The plan reads only the index and the q^0 and
+    negative-q rows, and a probe complete to depth 0 holds all of them, so
+    the probe builds no row that the deep input builds again."""
+    depth = _exp_plan(build(0), qmax, smax).depth
     return exp_lift(build(depth), qmax, smax)
 
 
@@ -322,9 +323,12 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
     with 24A = sum f(0, l), 2B = sum_{l>0} l f(0, l), 24C = 6 sum l^2 f(0, l).
     Factors with negative q-exponent are rewritten as a monomial prefix
     times a factor in the inverse monomial, and the working box is widened
-    so the final box is complete.  The factors are multiplied in on one
-    sliced accumulator by :meth:`Series.mul_factors`, and a result
-    certified short of the box is refused by :meth:`Series.certified`.
+    so the final box is complete.  The factors that share a step (n, t m)
+    in (q, s) are first multiplied together on small per-power r-dicts by
+    ``_step_series``; the step products are then multiplied in on one
+    sliced accumulator by :meth:`Series.mul_factors`, one pass per step,
+    and a result certified short of the box is refused by
+    :meth:`Series.certified`.
     """
     plan = _exp_plan(phi, qmax, smax)
     t, f0, Wq_work, Ws_work = plan.t, plan.f0, plan.Wq, plan.Ws
@@ -353,59 +357,57 @@ def exp_lift(phi: JacobiExpansion, qmax: int = 144, smax: int = 144) -> SiegelEx
                    (None, None, None),
                    (0, min((k[1] for k in rpart2.coeffs), default=0), 0))
 
-    # enumerate multiplicative factors
-    flist = []
+    # the factors (1 - q^dq r^dl s^ds)^e, grouped by their (q, s) step
+    steps = {}
     for n in range(1, Wq_work // 24 + 1):
         for l, c in sorted(f0.items()):
             if c:
-                flist.append((24 * n, 2 * l, 0, c))
+                steps.setdefault((24 * n, 0), []).append((2 * l, c))
     for m in range(1, Ws_work // (24 * t) + 1):
         for (nm, l), c in sorted(plan.fmap.items()):
             if not c or nm < 0 or nm % m:
                 continue
             n = nm // m
-            if n > 0:
-                if 24 * n <= Wq_work:
-                    flist.append((24 * n, 2 * l, 24 * t * m, c))
-            else:
-                flist.append((0, 2 * l, 24 * t * m, c))
+            if 24 * n <= Wq_work:
+                steps.setdefault((24 * n, 24 * t * m), []).append((2 * l, c))
     for (n, l, m, c) in plan.rewritten:
-        flist.append((24 * (-n), -2 * l, -24 * t * m, c))
+        steps.setdefault((24 * (-n), -24 * t * m), []).append((-2 * l, c))
 
-    flist.sort(key=lambda x: (x[0] + max(x[2], 0), x[0], x[2], x[1]))
-
-    acc = rpart.mul_factors((_factor_series(*f, Wq_work, Ws_work) for f in flist),
+    order = sorted(steps, key=lambda k: (k[0] + max(k[1], 0), k[0], k[1]))
+    acc = rpart.mul_factors((_step_series(*k, steps[k], Wq_work, Ws_work) for k in order),
                             cap=(Wq_work, Ws_work))
     result = acc.shift(plan.prefix, plan.sign).certified((qmax, smax))
     weight = Fraction(f0.get(0, 0), 2)
     return SiegelExpansion(result, t, weight, plan.char)
 
 
-def _factor_series(dq: int, dl: int, ds: int, e: int, Wq: int, Ws: int) -> Series:
-    """(1 - x)^e truncated to the working box, x = q^dq r^dl s^ds in
-    numerator units with dq > 0 or (dq == 0 and ds > 0)."""
+def _step_series(dq: int, ds: int, terms, Wq: int, Ws: int) -> Series:
+    """prod over (dl, e) in ``terms`` of (1 - r^dl X)^e, X = q^dq s^ds in
+    numerator units with dq > 0 or (dq == 0 and ds > 0), cut at X^kmax, the
+    last power of X inside the working box.  Its trunc and floor are those
+    of the :meth:`Series.mul` chain of the binomial factors (1 - r^dl X)^e,
+    each cut at X^kmax: the trunc of one factor and the sum of their floors."""
     if dq > 0:
-        kmax = Wq // dq
-        if ds > 0:
-            kmax = min(kmax, Ws // ds)
+        kmax = Wq // dq if ds <= 0 else min(Wq // dq, Ws // ds)
     elif ds > 0:
         kmax = Ws // ds
     else:
         raise ValueError("factor monomial must increase q or s")
-    coeffs = {(0, 0, 0): 1}
-    if e >= 0:
-        top = min(e, kmax)
-        binom = 1
-        for k in range(1, top + 1):
-            binom = binom * (e - k + 1) // k
-            coeffs[(k * dq, k * dl, k * ds)] = (-1) ** (k % 2) * binom
-    else:
-        M = -e
-        binom = 1
+    powers = [{0: 1}] + [{} for _ in range(kmax)]     # X^k -> {r: c}
+    for dl, e in terms:
+        binom = [(0, 1)]                                # (-1)^k C(e, k) r^(k dl)
         for k in range(1, kmax + 1):
-            binom = binom * (M - 1 + k) // k
-            coeffs[(k * dq, k * dl, k * ds)] = binom
-    floor = (0, min(0, kmax * dl), min(0, kmax * ds))
+            b = binom[-1][1] * (k - 1 - e) // k
+            if not b:
+                break
+            binom.append((k * dl, b))
+        for i in range(kmax, -1, -1):                   # highest power first, in place
+            src = list(powers[i].items())
+            if src:
+                for k in range(1, min(len(binom), kmax - i + 1)):
+                    _mul_into(powers[i + k], src, binom[k:k + 1])
+    coeffs = {(k * dq, l, k * ds): c for k, p in enumerate(powers) for l, c in p.items()}
+    floor = (0, sum(min(0, kmax * dl) for dl, _ in terms), len(terms) * min(0, kmax * ds))
     return Series(3, QRS_DENOMS, coeffs, (Wq, None, Ws if ds >= 0 else None), floor)
 
 
