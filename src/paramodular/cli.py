@@ -133,6 +133,8 @@ def _canonical(ser: Series, box) -> Series:
 
 
 def cmd_export(args) -> int:
+    if args.goldens and args.output:
+        raise ValueError("--goldens checks or rewrites the golden file; it takes no -o/--output")
     q, s = _box(args)
     if args.id in forms.registry_names():
         ser = _canonical(forms.catalog(args.id, q).series, (q,))
@@ -192,9 +194,11 @@ def _box_bound(text: str) -> int:
 # of the values accepted, or None for a store-true flag; a _REQUIRED
 # default marks a value that must be given.
 _REQUIRED = ...
-_BOX = {"--qmax": ("qmax", _box_bound, 6), "--smax": ("smax", _box_bound, 6)}
+_QMAX = {"--qmax": ("qmax", _box_bound, 6)}
+_BOX = {**_QMAX, "--smax": ("smax", _box_bound, 6)}
 _OUTPUT = {"-o": ("output", str, None), "--output": ("output", str, None)}
-_EMIT = {**_BOX, "--csv": ("csv", None, False), **_OUTPUT}  # the options of _emit's commands
+_CSV = {"--csv": ("csv", None, False), **_OUTPUT}   # the output options of _emit
+_EMIT = {**_BOX, **_CSV}                            # and a three-variable box
 _FORM = {"--form": ("form", str, _REQUIRED), **_EMIT}
 _LIFT = {"name": ("name", str, _REQUIRED), **_EMIT}
 
@@ -202,9 +206,11 @@ _LIFT = {"name": ("name", str, _REQUIRED), **_EMIT}
 # None, leaf) for a command without verbs; in usage order
 _COMMANDS = {
     "form": ("expand a catalog Jacobi form", cmd_form, "verb", {
-        "expand": {"name": ("name", tuple(forms.registry_names()), _REQUIRED), **_EMIT}}),
+        "expand": {"name": ("name", tuple(forms.registry_names()), _REQUIRED), **_QMAX,
+                   **_CSV}}),
     "hecke": ("apply a Hecke operator", cmd_hecke, "verb", {
-        "apply": {"--op": ("op", str, _REQUIRED), **_FORM}}),
+        "apply": {"--op": ("op", str, _REQUIRED), "--form": ("form", str, _REQUIRED),
+                  **_QMAX, **_CSV}}),
     "lift": ("arithmetic/exponential/closed-form liftings", cmd_lift, "kind", {
         "arith": {**_LIFT, "--mu": ("mu", int, 1)}, "exp": _LIFT, "closed": _LIFT}),
     "siegel": ("algebra on three-variable expansions", cmd_siegel, "verb", {
