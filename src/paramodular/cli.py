@@ -198,7 +198,7 @@ _QMAX = {"--qmax": ("qmax", _box_bound, 6)}
 _BOX = {**_QMAX, "--smax": ("smax", _box_bound, 6)}
 _OUTPUT = {"-o": ("output", str, None), "--output": ("output", str, None)}
 _CSV = {"--csv": ("csv", None, False), **_OUTPUT}   # the output options of _emit
-_EMIT = {**_BOX, **_CSV}                            # and a three-variable box
+_EMIT = {**_BOX, **_CSV}                            # and the (q, s) box of a Siegel command
 _FORM = {"--form": ("form", str, _REQUIRED), **_EMIT}
 _LIFT = {"name": ("name", str, _REQUIRED), **_EMIT}
 

@@ -132,8 +132,8 @@ def lift_exp_of(build, qmax: int, smax: int) -> SiegelExpansion:
     """Exponential lifting of ``build(depth)``, a Jacobi expansion complete
     to the q-numerator ``depth``, asking ``build`` for the depth the plan of
     ``exp_lift`` needs.  The plan reads only the index and the q^0 and
-    negative-q rows, and a probe complete to depth 0 holds all of them, so
-    the probe builds no row that the deep input builds again."""
+    negative-q rows, which a form complete to depth 0 holds in full, so the
+    probe is a depth-0 build and the one deep build is at the planned depth."""
     depth = _exp_plan(build(0), qmax, smax).depth
     return exp_lift(build(depth), qmax, smax)
 

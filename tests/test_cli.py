@@ -289,6 +289,31 @@ def test_export_against_a_tampered_golden_is_a_mismatch(tmp_path, capsys):
     assert f"golden mismatch for phi_0_3 at {path}" in captured.err
 
 
+@pytest.mark.parametrize("regen", [False, True])
+def test_export_goldens_with_an_output_file_is_refused(tmp_path, capsys, regen):
+    gd, out = tmp_path / "goldens", tmp_path / "x.json"
+    argv = ["export", "delta1", "--goldens", str(gd), "--qmax", "1", "--smax", "1"]
+    if not regen:
+        assert main(argv + ["--regen-goldens"]) == EXIT_OK
+        capsys.readouterr()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert main(argv + ["--regen-goldens"] * regen + ["-o", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes no -o/--output" in captured.err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    "form expand phi_0_1 --qmax 1 --smax 1",
+    "hecke apply --op t0:2 --form phi_0_2 --qmax 1 --smax 1"])
+def test_commands_without_an_s_bound_refuse_smax(capsys, argv):
+    assert main(argv.split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --smax" in captured.err
+
+
 def test_repo_goldens_regression(capsys):
     gd = ROOT / "goldens"
     if not gd.exists():

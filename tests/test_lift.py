@@ -1,13 +1,14 @@
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 import pytest
 
-from paramodular import lift
+from paramodular import forms, lift
 from paramodular.chars import divisors, v_eta_sigma
-from paramodular.forms import catalog, eta_power, theta_series
+from paramodular.forms import catalog, combo, eta_power, ratio, theta_series
 from paramodular.hecke import t0, t_minus_char, t_minus_weight0
-from paramodular.lift import (InsufficientBoxError, arith_lift, closed_form,
+from paramodular.lift import (InsufficientBoxError, _exp_plan, arith_lift, closed_form,
                               divisor_multiplicity, exp_lift, lemma22_checksum,
                               lift_arith, lift_exp, vt_parity)
 
@@ -282,3 +283,53 @@ def test_lift_plans_request_exactly_enough_input(monkeypatch, box):
         if need > 24:   # below the 24-numerator floor one less still suffices
             with pytest.raises(InsufficientBoxError):
                 arith_lift(phi.restricted(need - 1), mu, b, b)
+
+
+# the exp-lift inputs of the identity registry that are Hecke images, as
+# identities.py builds them
+HECKE_EXP_BUILDS = {
+    "tminus:2 phi_0_3": ratio([("T", "tminus:2", "phi_0_3")]),
+    "tminus:3 phi_0_3": ratio([("T", "tminus:3", "phi_0_3")]),
+    "tminus:2 phi_0_4": ratio([("T", "tminus:2", "phi_0_4")]),
+    "tminus:3 phi_0_2": ratio([("T", "tminus:3", "phi_0_2")]),
+    "tminus:3 phi_0_1 - 4 phi_0_3": combo((1, [("T", "tminus:3", "phi_0_1")]),
+                                          (-4, ["phi_0_3"])),
+}
+
+
+def _exp_builds():
+    """name -> builder of every weight-0 catalog form of integral index and
+    of the Hecke-image exp-lift inputs."""
+    names = [n for n in forms.registry_names()
+             if (f := catalog(n, 0)).weight == 0 and f.index.denominator == 1]
+    return {**{n: partial(catalog, n) for n in names}, **HECKE_EXP_BUILDS}
+
+
+@pytest.mark.parametrize("box", range(1, 9))
+def test_exp_plan_of_the_depth_0_probe_is_the_plan_of_the_input(box):
+    # lift_exp_of plans from build(0), exp_lift again from the input built
+    # at the planned depth; past depth 480 (box 5 at index 1) the input is
+    # taken at 480, whose rows n <= 0 are those of any deeper build
+    b = 24 * box
+    for name, build in _exp_builds().items():
+        probe = _exp_plan(build(0), b, b)
+        full = _exp_plan(build(min(probe.depth, 480)), b, b)
+        assert probe._replace(fmap=None) == full._replace(fmap=None), name
+        assert probe.fmap == {k: c for k, c in full.fmap.items() if k[0] <= 0}, name
+
+
+def test_a_cold_exp_lift_builds_each_catalog_form_once(monkeypatch):
+    # the depth-0 probe asks no builder for a whole power of q (phi_2_2, a
+    # divisor inside phi_0_2, is asked for 4 numerators); the parent
+    # probed at 96 and built everything again at 120
+    depths = {}
+    for name, (builder, *rest) in list(forms._CATALOG.items()):
+        def counted(qmax, name=name, builder=builder):
+            depths.setdefault(name, []).append(qmax)
+            return builder(qmax)
+        monkeypatch.setitem(forms._CATALOG, name, (counted, *rest))
+    monkeypatch.setattr(forms, "_CACHE", {})
+    lift_exp("phi_0_6_a", 120, 120)
+    assert {"phi_0_6_a", "phi_0_2", "phi_0_3", "phi_0_4"} <= set(depths)
+    for name, asked in depths.items():
+        assert len([d for d in asked if d >= 24]) <= 1, (name, asked)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paramodular.chars import CharacterTag
-from paramodular.lift import SiegelExpansion
+from paramodular.lift import SiegelExpansion, _step_series
 from paramodular.qseries import Series, bounded_vars
 from paramodular.siegel import involution_V
 
@@ -113,20 +113,9 @@ def test_involution_V_is_an_involution(data, t):
     assert [back.floor[v] for v in (0, 2)] == [a.floor[v] for v in (0, 2)]
 
 
-@st.composite
-def binomial_factor(draw, nv, wq, ws):
-    """(1 - x)^e, e in [-3, 3] \\ {0}, cut to the working box (wq, ws) as
-    ``lift._factor_series`` cuts it: x = q^dq r^dl s^ds with dq > 0, with
-    dq = 0 < ds, with dq > 0 > ds (the rewritten rows of ``exp_lift``), or
-    a pure r-step x = r^dl raised to e > 0 (the theta products)."""
-    shapes = [st.tuples(st.integers(1, 4), st.just(0))]
-    if nv == 3:
-        shapes += [st.tuples(st.just(0), st.integers(1, 4)),
-                   st.tuples(st.integers(1, 4), st.integers(-4, -1))]
-    r_step = draw(st.booleans())
-    dq, ds = (0, 0) if r_step else draw(st.one_of(shapes))
-    dl = draw(st.integers(-3, 3).filter(bool) if r_step else st.integers(-3, 3))
-    e = draw(st.integers(1, 3) if r_step else st.integers(-3, 3).filter(bool))
+def binomial(nv, dq, dl, ds, e, wq, ws):
+    """(1 - x)^e, x = q^dq r^dl s^ds, cut at the last power of x inside the
+    working box (wq, ws), with the trunc and floor of that cut."""
     kmax = min([w // d for w, d in ((wq, dq), (ws, ds)) if d > 0] or [e])
     terms, c = [], 1
     for k in range(kmax + 1):
@@ -135,6 +124,26 @@ def binomial_factor(draw, nv, wq, ws):
     trunc = (wq, None, ws if ds >= 0 else None)[:nv]
     floor = (0, min(0, kmax * dl), min(0, kmax * ds))[:nv]
     return Series.from_terms(nv, DENOMS[nv], terms, trunc, floor)
+
+
+exponents = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def binomial_factor(draw, nv, wq, ws):
+    """A factor of the shapes ``exp_lift`` multiplies in, e in [-3, 3] \\ {0}:
+    x = q^dq r^dl s^ds with dq > 0, with dq = 0 < ds, with dq > 0 > ds (the
+    rewritten rows), or a pure r-step x = r^dl raised to e > 0 (the theta
+    products)."""
+    shapes = [st.tuples(st.integers(1, 4), st.just(0))]
+    if nv == 3:
+        shapes += [st.tuples(st.just(0), st.integers(1, 4)),
+                   st.tuples(st.integers(1, 4), st.integers(-4, -1))]
+    r_step = draw(st.booleans())
+    dq, ds = (0, 0) if r_step else draw(st.one_of(shapes))
+    dl = draw(st.integers(-3, 3).filter(bool) if r_step else st.integers(-3, 3))
+    e = draw(st.integers(1, 3) if r_step else exponents)
+    return binomial(nv, dq, dl, ds, e, wq, ws)
 
 
 @PROPS
@@ -156,3 +165,24 @@ def test_mul_factors_refuses_other_denominators_and_constants():
     for bad in (Series.one(2, (48, 2)), one.scale(2)):
         with pytest.raises(ValueError):
             one.mul_factors([bad])
+
+
+# the (q, s) steps of exp_lift: dq > 0 with ds >= 0, dq = 0 < ds, and the
+# rewritten rows dq > 0 > ds
+steps = st.one_of(st.tuples(st.integers(1, 4), st.integers(0, 4)),
+                  st.tuples(st.just(0), st.integers(1, 4)),
+                  st.tuples(st.integers(1, 4), st.integers(-4, -1)))
+
+
+@PROPS
+@given(st.data(), steps)
+def test_step_series_is_the_mul_chain_of_its_binomials(data, step):
+    wq, ws = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3), exponents),
+                               min_size=1, max_size=4))
+    dq, ds = step
+    factors = [binomial(3, dq, dl, ds, e, wq, ws) for dl, e in terms]
+    want = factors[0]
+    for f in factors[1:]:
+        want = want.mul(f)
+    same(_step_series(dq, ds, terms, wq, ws).check(), want)
