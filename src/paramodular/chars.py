@@ -94,12 +94,6 @@ class CharacterTag:
         object.__setattr__(self, "D", self.D % 24)
         object.__setattr__(self, "eps", self.eps % 2)
 
-    @property
-    def Q(self) -> int:
-        if self.D % 2:
-            raise ValueError("conductor is defined here for even D only")
-        return conductor(self.D)
-
     def __add__(self, other: "CharacterTag") -> "CharacterTag":
         return CharacterTag(self.D + other.D, self.eps + other.eps)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .chars import CharacterTag, divisors, kronecker
-from .qseries import Series, div_operands
+from .qseries import InsufficientBoxError, Series, div_operands
 
 QR_DENOMS = (24, 2)
 
@@ -63,18 +63,29 @@ class JacobiExpansion:
                 out[b] = c
         return out
 
-    def norm_map(self) -> dict:
-        """Norm (4tn - l^2, integer units) -> coefficient, for weight-0
-        integer-index forms whose coefficients depend on the norm only."""
+    def norm_coeff(self):
+        """N -> c(N) for an integral-index form whose coefficient at q^n r^l
+        depends only on the norm N = 4tn - l^2 (ValueError otherwise).  An
+        unstored norm reads 0 when some 0 <= n <= qmax/24 represents it,
+        none does, or N < -t^2, and raises InsufficientBoxError otherwise."""
         t = self.index
         if t.denominator != 1:
             raise ValueError("norm map needs an integral index")
-        out = {}
+        t, nmax, stored = t.numerator, self.qmax // 24, {}
         for key, c in self.series.terms():
-            norm = _norm(t.numerator, key)
-            if out.setdefault(norm, c) != c:
+            norm = _norm(t, key)
+            if stored.setdefault(norm, c) != c:
                 raise ValueError(f"coefficients are not norm-dependent at norm {norm}")
-        return out
+
+        def coeff(N: int) -> int:
+            if N in stored:
+                return stored[N]
+            ns = [(N + l * l) // (4 * t) for l in range(2 * t + 1)
+                  if (N + l * l) % (4 * t) == 0]
+            if not ns or N < -t * t or any(0 <= n <= nmax for n in ns):
+                return 0
+            raise InsufficientBoxError(f"norm {N} not determined by the computed box")
+        return coeff
 
     # -- arithmetic -----------------------------------------------------
 

@@ -176,51 +176,38 @@ def t0(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     return JacobiExpansion(ser, 0, phi.index, phi.char, kind)
 
 
+def _norm_image(phi: JacobiExpansion, t_out: int, tout: int, nmin: int, lbound: int,
+                value) -> JacobiExpansion:
+    """The weight-0 index-``t_out`` image with coefficient value(4 t_out n - l^2)
+    at q^n r^l, on the rows nmin <= n <= tout (paper units) and |l| up to the
+    weak bound of ``t_out`` widened by ``lbound``."""
+    coeffs = {}
+    for n in range(nmin, tout + 1):
+        lb = _weak_l_bound(t_out, max(n, 0)) + lbound
+        for l in range(-lb, lb + 1):
+            c = value(4 * t_out * n - l * l)
+            if c:
+                coeffs[(24 * n, 2 * l)] = c
+    return JacobiExpansion(_image_series(coeffs, 24 * tout, 24 * nmin), 0, t_out,
+                           phi.char, phi.kind)
+
+
 def t0_norm_formula(phi: JacobiExpansion, p: int) -> JacobiExpansion:
     """Good-reduction specialization on norm-dependent coefficients:
     g_p(N) = p^3 g(p^2 N) + p (-N/p) g(N) + g(N/p^2)."""
     t = phi.index.numerator
     if t % p == 0:
         raise ValueError("good reduction needs p coprime to the index")
-    nm = phi.norm_map()
-    qmax_paper = phi.qmax // 24
-    tout = max(qmax_paper // (p * p) - t, 0)
+    g = phi.norm_coeff()
 
-    def g(N):
-        return _norm_lookup(nm, t, N, qmax_paper)
+    def value(N):
+        if N < -t * t * p * p:
+            return 0
+        val = p ** 3 * g(p * p * N) + p * kronecker(-N, p) * g(N)
+        return val + g(N // (p * p)) if N % (p * p) == 0 else val
 
-    coeffs = {}
-    nmin = -(p * p * t) // 4 - 1
-    for n in range(nmin, tout + 1):
-        for l in range(-_weak_l_bound(t, max(n, 0)) - 2 * t * p,
-                       _weak_l_bound(t, max(n, 0)) + 2 * t * p + 1):
-            N = 4 * t * n - l * l
-            if N < -t * t * p * p:
-                continue
-            val = p ** 3 * g(p * p * N) + p * kronecker(-N, p) * g(N)
-            if N % (p * p) == 0:
-                val += g(N // (p * p))
-            if val:
-                coeffs[(24 * n, 2 * l)] = val
-    return JacobiExpansion(_image_series(coeffs, 24 * tout, 24 * nmin), 0, phi.index,
-                           phi.char, phi.kind)
-
-
-def _norm_lookup(nm: dict, t: int, N: int, qmax_paper: int):
-    if N in nm:
-        return nm[N]
-    # a missing norm is zero when representable inside the box, or when the
-    # congruence 4 t n - l^2 = N has no solution at all
-    solvable = False
-    for l in range(0, 2 * t + 1):
-        if (N + l * l) % (4 * t) == 0:
-            solvable = True
-            n = (N + l * l) // (4 * t)
-            if 0 <= n <= qmax_paper:
-                return 0
-    if not solvable or N < -t * t:
-        return 0
-    raise InsufficientBoxError(f"norm {N} not determined by the computed box")
+    return _norm_image(phi, t, max(phi.qmax // 24 // (p * p) - t, 0), -(p * p * t) // 4 - 1,
+                       2 * t * p, value)
 
 
 def _t_plus_2_reach(t: int, _, depth: int) -> int:
@@ -236,22 +223,13 @@ def t_plus_2(phi: JacobiExpansion) -> JacobiExpansion:
     standard index-2 generator is 4 times the index-1 generator."""
     if phi.index != 2 or phi.weight != 0:
         raise ValueError("index-2 weight-0 input required")
-    nm = phi.norm_map()
-    qmax_paper = phi.qmax // 24
-    tout = _t_plus_2_reach(2, 1, phi.qmax)
-    coeffs = {}
-    for n in range(0, tout // 24 + 1):
-        lb = isqrt(4 * n + 1) + 1
-        for l in range(-lb, lb + 1):
-            N = 4 * n - l * l
-            val = 8 * _norm_lookup(nm, 2, 4 * N, qmax_paper)
-            sym = kronecker(-N, 2)
-            if sym + 1:
-                val += 2 * (sym + 1) * _norm_lookup(nm, 2, N, qmax_paper)
-            if val:
-                coeffs[(24 * n, 2 * l)] = val
-    return JacobiExpansion(_image_series(coeffs, tout, 0), 0, Fraction(1),
-                           phi.char, phi.kind)
+    f = phi.norm_coeff()
+
+    def value(N):
+        val, sym = 8 * f(4 * N), kronecker(-N, 2)
+        return val + 2 * (sym + 1) * f(N) if sym + 1 else val
+
+    return _norm_image(phi, 1, _t_plus_2_reach(2, 1, phi.qmax) // 24, 0, 0, value)
 
 
 def _lambda_star_reach(t: int, p: int, depth: int) -> int:

@@ -42,15 +42,6 @@ class HypLattice:
         return tuple(tuple(self.pair(a, b) for b in vectors) for a in vectors)
 
 
-def reflect(lattice: HypLattice, delta, x):
-    """x - (2 (x, delta)/(delta, delta)) delta; requires non-isotropic delta."""
-    nn = lattice.norm(delta)
-    if nn == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
-    c = 2 * lattice.pair(x, delta) / nn
-    return tuple(Fraction(xi) - c * di for xi, di in zip(x, delta))
-
-
 def reflection_matrix(lattice: HypLattice, delta):
     """The integer matrix of s_delta, whose column j is s_delta(e_j); raises
     ValueError unless every 2 (e_j, delta)/(delta, delta) is an integer."""

@@ -603,11 +603,6 @@ class Series:
                     bad.append(k)
         return min(bad, key=a._order) if bad else None
 
-    def leading(self):
-        """(key, coeff) of the least term in graded-lex order."""
-        k = self.min_key()
-        return (k, self.coeffs[k]) if k is not None else None
-
     def sorted_terms(self):
         return sorted(self.coeffs.items())
 

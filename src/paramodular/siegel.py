@@ -252,14 +252,3 @@ def reflected_sides(F: SiegelExpansion, matrix):
     if not left:
         raise InsufficientBoxError("no reflected term lies inside the box")
     return tuple(Series(3, ser.denoms, d, ser.trunc, ser.floor) for d in (left, right))
-
-
-def check_sign_under(F: SiegelExpansion, matrix) -> bool:
-    """Whether ``reflected_sides`` agree: at least one stored term has its
-    image inside the box, and each such image carries minus its
-    coefficient."""
-    try:
-        left, right = reflected_sides(F, matrix)
-    except InsufficientBoxError:
-        return False
-    return left.first_mismatch(right) is None

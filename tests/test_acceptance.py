@@ -150,7 +150,7 @@ def test_criterion_6_symmetrisation():
 def test_criterion_7_structural_invariants():
     ok = True
     for name in ("phi_0_1", "phi_0_2", "phi_0_3"):
-        catalog(name, B).norm_map()
+        catalog(name, B).norm_coeff()
     for name, t in (("phi_0_4", 4), ("phi_0_36", 36), ("phi_0_10", 10)):
         f = catalog(name, B)
         classes = {}
@@ -205,14 +205,15 @@ def test_criterion_8_divisors_and_parity():
 
 
 def test_criterion_9_vanishing_and_reflections():
-    from paramodular.siegel import (SIGMA_T9, SIGMA_T36, check_sign_under,
-                                    restrict_z)
+    from paramodular.siegel import SIGMA_T9, SIGMA_T36, reflected_sides, restrict_z
     ok = True
     for name in ("delta1", "delta2", "delta5"):
         ok = ok and not restrict_z(closed_form(name, B, B), 0).coeffs
     ok = ok and not restrict_z(closed_form("d_half", B, B), Fraction(1, 2)).coeffs
-    ok = ok and check_sign_under(closed_form("d_half", 24 * 10, 24 * 180), SIGMA_T36)
-    ok = ok and check_sign_under(closed_form("d2", 24 * 10, 24 * 48), SIGMA_T9)
+    for name, qmax, smax, sigma in (("d_half", 24 * 10, 24 * 180, SIGMA_T36),
+                                    ("d2", 24 * 10, 24 * 48, SIGMA_T9)):
+        left, right = reflected_sides(closed_form(name, qmax, smax), sigma)
+        ok = ok and left.first_mismatch(right) is None
     assert report(9, ok, "slice vanishing and reflection anti-invariance")
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from paramodular.chars import CharacterTag, kronecker, v_eta_exponent, v_eta_sigma
+from paramodular.chars import CharacterTag, conductor, kronecker, v_eta_exponent, v_eta_sigma
 
 
 def test_kronecker_12_table():
@@ -72,6 +72,6 @@ def test_character_tags_add():
     a = CharacterTag(4, 1)
     b = CharacterTag(22, 1)
     assert (a + b) == CharacterTag(2, 0)
-    assert a.Q == 6
-    assert CharacterTag(2, 0).Q == 12
-    assert CharacterTag(12, 0).Q == 2
+    assert conductor(a.D) == 6
+    assert conductor(CharacterTag(2, 0).D) == 12
+    assert conductor(CharacterTag(12, 0).D) == 2

@@ -7,6 +7,7 @@ from paramodular.forms import (JacobiExpansion, catalog, eta_power, ez_bracket, 
                                phi_2_2_sum, quintuple_product_form, ratio,
                                registry_names, theta_product_form, theta_series,
                                theta32_series)
+from paramodular.qseries import InsufficientBoxError
 
 from oracles import ez_bracket_loop
 
@@ -176,7 +177,16 @@ def test_a_sum_refuses_mixed_characters():
 
 def test_norm_dependence_of_weight_zero_forms():
     for name in ("phi_0_1", "phi_0_2", "phi_0_3"):
-        catalog(name, 24 * 6).norm_map()  # raises if not norm-dependent
+        catalog(name, 24 * 6).norm_coeff()  # raises if not norm-dependent
+
+
+def test_norm_coeff_answers_zero_only_where_the_box_decides():
+    c = catalog("phi_0_1", 48).norm_coeff()   # rows n <= 2, norms 4n - l^2
+    assert (c(-1), c(0), c(7)) == (1, 10, -513)   # stored
+    assert c(1) == 0    # 4n - l^2 = 1 has no solution
+    assert c(-5) == 0   # below -t^2 (its only row, n = -1, lies outside the box)
+    with pytest.raises(InsufficientBoxError, match="norm 12 not determined"):
+        c(12)           # first represented at n = 3, past the box
 
 
 def test_norm_class_dependence_at_integer_index():

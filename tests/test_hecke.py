@@ -178,11 +178,13 @@ def test_t0_2_on_phi_0_4_is_phi_0_1_doubled():
 
 
 def test_t0_good_reduction_norm_formula():
-    for name, p in (("phi_0_1", 2), ("phi_0_1", 3), ("phi_0_3", 2)):
-        phi = catalog(name, 24 * 9 * 6)
+    for name, p, d in (("phi_0_1", 2, 9), ("phi_0_1", 3, 9), ("phi_0_3", 2, 9),
+                       ("phi_0_2", 3, 25), ("phi_0_1", 5, 25)):
+        phi = catalog(name, 24 * d * 6)
         a = t0(phi, p)
         b = t0_norm_formula(phi, p)
         box = min(a.qmax, b.qmax)
+        assert box >= 24 * 5, (name, p)
         assert a.series.first_mismatch(b.series, (box,)) is None, (name, p)
 
 
@@ -251,9 +253,9 @@ def test_descriptor_parsing_and_apply():
 
 def test_operators_preserve_norm_dependence():
     img = t_minus_weight0(catalog("phi_0_1", 24 * 24), 2)
-    img.norm_map()   # raises if the image is not norm-dependent
+    img.norm_coeff()   # raises if the image is not norm-dependent
     img2 = t0(catalog("phi_0_1", 24 * 40), 2)
-    img2.norm_map()
+    img2.norm_coeff()
 
 
 # one representative catalog form for every operator kind
